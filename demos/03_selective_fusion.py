@@ -30,7 +30,7 @@ print("output stays inside the branch envelope:", inside)
 
 # The non-adaptive baselines replace the whole module.
 for mode in ("elementwise-max", "elementwise-average"):
-    alt = selective_module(maps, fusion, mode=mode)
+    alt = selective_module(maps, SelectiveFusion(C, n=n, mode=mode))
     print(f"{mode:20s} -> {alt.shape}")
 
 # Pooling variants for the descriptor; stochastic pooling needs an explicit

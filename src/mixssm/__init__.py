@@ -3,7 +3,7 @@ softmax-gated per-channel feature fusion, built on a self-contained
 numpy-backed reverse-mode autodiff substrate.
 """
 
-from .data import Dataset, Sample, generate_synthetic, load_image_folder
+from .data import Dataset, generate_synthetic, load_image_folder
 from .errors import (
     CheckpointError,
     ConfigError,
@@ -34,7 +34,6 @@ __all__ = [
     "Model",
     "ModelConfig",
     "NumericsError",
-    "Sample",
     "ShapeError",
     "Tensor",
     "cross_entropy_loss",

@@ -22,7 +22,7 @@ from .config import RunConfig, emit_config, load_config_file
 from .data import generate_synthetic, load_image_folder
 from .errors import CheckpointError, ConfigError, DataError, NumericsError, ShapeError
 from .gradcheck import gradient_suite
-from .network import Model, ModelConfig, desk_config, load_checkpoint, save_checkpoint
+from .network import Model, desk_config, load_checkpoint, save_checkpoint
 from .train import Metrics, evaluate, train
 
 __all__ = ["main", "ABLATION_VARIANTS", "ANALYSIS_SWEEPS"]
@@ -121,27 +121,36 @@ def _format_metrics(metrics: Metrics) -> str:
     )
 
 
-def _train_and_eval(config: ModelConfig, dataset, run: RunConfig) -> tuple[float, float]:
-    model = Model(config)
-    model, _ = train(
-        model,
-        dataset,
-        epochs=run.epochs,
-        batch_size=run.batch_size,
-        lr=run.lr,
-        seed=config.seed,
-    )
-    metrics = evaluate(model, dataset)
-    return metrics.accuracy, metrics.f1
+def _run_sweep(args, settings, header: str) -> None:
+    """Train and evaluate one model per ``(name, model overrides)`` setting.
 
+    Writes one ``name,acc,f1`` CSV row per setting, in ``settings`` order,
+    whatever the worker count.
+    """
+    run = _resolve_run_config(args)
+    run, dataset = _load_training_data(run, args.data, explicit_config=bool(args.config))
+    threads = _thread_count(args.threads)
 
-def _run_settings_csv(settings, runner, out_path: str, threads: int, header: str) -> None:
+    def runner(setting):
+        _, overrides = setting
+        config = dataclasses.replace(run.model, **overrides)
+        model, _ = train(
+            Model(config),
+            dataset,
+            epochs=run.epochs,
+            batch_size=run.batch_size,
+            lr=run.lr,
+            seed=config.seed,
+        )
+        metrics = evaluate(model, dataset)
+        return metrics.accuracy, metrics.f1
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(runner, settings))
     else:
         results = [runner(s) for s in settings]
-    with open(out_path, "w", newline="") as fh:
+    with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([header, "acc", "f1"])
         for (name, _), (acc, f1) in zip(settings, results):
@@ -210,15 +219,8 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    run = _resolve_run_config(args)
-    run, dataset = _load_training_data(run, args.data, explicit_config=bool(args.config))
-    threads = _thread_count(args.threads)
-
-    def runner(setting):
-        _, branches = setting
-        return _train_and_eval(run.model.with_branches(branches), dataset, run)
-
-    _run_settings_csv(list(ABLATION_VARIANTS), runner, args.out, threads, header="config")
+    settings = [(name, {"branches": branches}) for name, branches in ABLATION_VARIANTS]
+    _run_sweep(args, settings, header="config")
     print(f"ablation results written to {args.out}")
     return 0
 
@@ -228,18 +230,7 @@ def cmd_analyze(args) -> int:
         raise ConfigError(
             f"unknown sweep {args.sweep!r}; expected one of {sorted(ANALYSIS_SWEEPS)}"
         )
-    run = _resolve_run_config(args)
-    run, dataset = _load_training_data(run, args.data, explicit_config=bool(args.config))
-    threads = _thread_count(args.threads)
-    settings = ANALYSIS_SWEEPS[args.sweep]
-
-    def runner(setting):
-        _, overrides = setting
-        return _train_and_eval(
-            dataclasses.replace(run.model, **overrides), dataset, run
-        )
-
-    _run_settings_csv(settings, runner, args.out, threads, header="setting")
+    _run_sweep(args, ANALYSIS_SWEEPS[args.sweep], header="setting")
     print(f"{args.sweep} sweep results written to {args.out}")
     return 0
 
@@ -363,7 +354,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, DataError, CheckpointError, ShapeError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, DataError, CheckpointError, ShapeError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericsError as exc:

@@ -22,8 +22,6 @@ class RunConfig:
     epochs: int = 10
     batch_size: int = 32
     lr: float = 5e-5
-    train_data: str | None = None
-    eval_data: str | None = None
 
     def validate(self) -> None:
         if self.epochs < 0:
@@ -34,7 +32,7 @@ class RunConfig:
             raise ConfigError(f"lr must be non-negative, got {self.lr}")
 
 
-_TRAIN_FIELDS = ("epochs", "batch_size", "lr", "train_data", "eval_data")
+_TRAIN_FIELDS = ("epochs", "batch_size", "lr")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -61,8 +59,6 @@ def emit_config(config: RunConfig) -> str:
         epochs=config.epochs,
         batch_size=config.batch_size,
         lr=config.lr,
-        train_data=config.train_data,
-        eval_data=config.eval_data,
     )
     return json.dumps(payload, indent=2) + "\n"
 

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import DataError
 
 __all__ = [
-    "Sample",
     "Dataset",
     "decode_ppm",
     "write_ppm",
@@ -28,12 +27,6 @@ __all__ = [
     "generate_synthetic",
     "SHAPE_FAMILIES",
 ]
-
-
-@dataclass
-class Sample:
-    image: np.ndarray  # (H, W, 3) float32, normalized
-    label: int
 
 
 @dataclass
@@ -48,9 +41,6 @@ class Dataset:
     @property
     def num_classes(self) -> int:
         return len(self.class_names)
-
-    def __getitem__(self, i: int) -> Sample:
-        return Sample(self.images[i], int(self.labels[i]))
 
 
 # -- PPM codec ----------------------------------------------------------------

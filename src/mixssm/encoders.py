@@ -97,16 +97,19 @@ def cross_merge(seqs: list[Tensor], h: int, w: int) -> Tensor:
 # -- linear recurrence -------------------------------------------------------
 
 
-def linear_scan(decay: Tensor, x: Tensor, time_axis: int = -3) -> Tensor:
+def linear_scan(decay: Tensor, x: Tensor) -> Tensor:
     """Inclusive scan of h_t = decay_t * h_{t-1} + x_t with h_0 = 0.
 
+    Operands are (..., T, C, N); time is the third axis from the end.
     Computed in log2(T) doubling rounds of vectorized ops instead of a
     T-step python loop; the reassociated products match the sequential
     recurrence up to roundoff.
     """
-    if decay.shape != x.shape:
-        raise ShapeError(f"linear_scan: decay shape {decay.shape} != input shape {x.shape}")
-    axis = time_axis % x.ndim
+    if decay.shape != x.shape or x.ndim < 3:
+        raise ShapeError(
+            f"linear_scan: needs equal (..., T, C, N) shapes, got {decay.shape} and {x.shape}"
+        )
+    axis = x.ndim - 3
     t = x.shape[axis]
 
     def seg(tensor: Tensor, start: int, stop: int) -> Tensor:
@@ -151,7 +154,7 @@ def selective_scan(u: Tensor, params: "SsmBranch") -> Tensor:
 
     decay = exp(mul(reshape(dt, (*lead, t, c, 1)), params.log_decay_rates))
     drive = mul(reshape(mul(dt, u), (*lead, t, c, 1)), reshape(b_tok, (*lead, t, 1, n)))
-    h = linear_scan(decay, drive, time_axis=-3)
+    h = linear_scan(decay, drive)
     read = reduce_sum(mul(h, reshape(c_tok, (*lead, t, 1, n))), axis=-1)
     return add(read, mul(u, params.skip_gain))
 
@@ -176,7 +179,6 @@ class ConvBranch(Module):
             requires_grad=True,
         )
         self.bias = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
-        self.stride = 1
         self.act = activation
 
     def __call__(self, v: Tensor) -> Tensor:
@@ -184,7 +186,7 @@ class ConvBranch(Module):
             raise ShapeError(
                 f"conv branch built for {self.weight.shape[2]} channels, input has {v.shape[-1]}"
             )
-        out = conv2d(v, self.weight, self.bias, stride=self.stride, padding="same")
+        out = conv2d(v, self.weight, self.bias, padding="same")
         return _activation(self.act)(out)
 
 
@@ -238,18 +240,17 @@ class AttentionBranch(Module):
 
 
 class ChannelMlpBranch(Module):
-    """Per-position channel mixer: C -> hidden -> C, pure channel mixing."""
+    """Per-position channel mixer: C -> 2C -> C, pure channel mixing."""
 
     def __init__(
         self,
         channels: int,
-        hidden: int | None = None,
         rng: np.random.Generator | None = None,
         dtype=np.float32,
         activation: str = "gelu",
     ):
         rng = rng if rng is not None else np.random.default_rng(0)
-        hidden = hidden if hidden is not None else 2 * channels
+        hidden = 2 * channels
         self.w1 = Tensor(trunc_normal(rng, (channels, hidden), dtype=dtype), requires_grad=True)
         self.b1 = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
         self.w2 = Tensor(trunc_normal(rng, (hidden, channels), dtype=dtype), requires_grad=True)

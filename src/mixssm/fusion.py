@@ -186,22 +186,20 @@ class SelectiveFusion(Module):
     def __call__(
         self,
         branch_outputs: list[Tensor],
-        mode: str | None = None,
         rng: np.random.Generator | None = None,
         training: bool = False,
     ) -> Tensor:
-        return selective_module(branch_outputs, self, mode=mode, rng=rng, training=training)
+        return selective_module(branch_outputs, self, rng=rng, training=training)
 
 
 def selective_module(
     branch_outputs: list[Tensor],
     params: SelectiveFusion,
-    mode: str | None = None,
     rng: np.random.Generator | None = None,
     training: bool = False,
 ) -> Tensor:
-    """Aggregate branch maps by the configured (or overridden) mode."""
-    mode = mode if mode is not None else params.mode
+    """Aggregate branch maps by the mode ``params`` was built with."""
+    mode = params.mode
     if mode == "selective":
         if len(branch_outputs) != params.n:
             raise ShapeError(

@@ -52,39 +52,12 @@ def finite_diff_check(
 ) -> GradCheckReport:
     """Compare the taped gradient of ``f`` at ``x`` against central differences.
 
-    ``f`` must be deterministic; two baseline evaluations that disagree raise
-    ``ValueError``.  Relative error per component uses the denominator
-    max(|analytic|, |numeric|, 1e-8).
+    ``f`` runs on a gradient-tracking copy of ``x``; see
+    :func:`check_parameter_gradients` for the loop and the error measure.
     """
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    base = x.data.copy()
-
-    with no_grad():
-        y0 = _scalar(f(Tensor(base.copy(), dtype=x.dtype)))
-        y1 = _scalar(f(Tensor(base.copy(), dtype=x.dtype)))
-    if y0 != y1:
-        raise ValueError(f"f is not deterministic: baseline evaluations {y0} != {y1}")
-
-    probe = Tensor(base.copy(), requires_grad=True, dtype=x.dtype)
-    out = f(probe)
-    _scalar(out)
-    out.backward()
-    analytic = probe.grad if probe.grad is not None else np.zeros_like(base)
-
-    numeric = np.zeros_like(base)
-    flat = numeric.reshape(-1)
-    with no_grad():
-        for i in range(base.size):
-            bumped = base.reshape(-1).copy()
-            bumped[i] += step
-            hi = _scalar(f(Tensor(bumped.reshape(base.shape), dtype=x.dtype)))
-            bumped[i] -= 2.0 * step
-            lo = _scalar(f(Tensor(bumped.reshape(base.shape), dtype=x.dtype)))
-            flat[i] = (hi - lo) / (2.0 * step)
-
-    err = _rel_error(analytic, numeric)
-    return GradCheckReport(max_rel_error=err, tolerance=tolerance, passed=err <= tolerance)
+    probe = Tensor(x.data.copy(), requires_grad=True, dtype=x.dtype)
+    report, _ = check_parameter_gradients(lambda: f(probe), [("x", probe)], step, tolerance)
+    return report
 
 
 def check_parameter_gradients(
@@ -96,9 +69,13 @@ def check_parameter_gradients(
     """Finite-difference check of ``loss_fn`` w.r.t. a set of live parameters.
 
     Parameters are perturbed in place and restored; the analytic side comes
-    from one backward pass.  Returns the overall report plus the max relative
-    error per parameter name.
+    from one backward pass.  ``loss_fn`` must be deterministic; two baseline
+    evaluations that disagree raise ``ValueError``.  Relative error per
+    component uses the denominator max(|analytic|, |numeric|, 1e-8).  Returns
+    the overall report plus the max relative error per parameter name.
     """
+    if step <= 0:
+        raise ValueError(f"step must be positive, got {step}")
     params = list(params)
     with no_grad():
         y0 = _scalar(loss_fn())

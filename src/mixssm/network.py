@@ -111,9 +111,6 @@ class ModelConfig:
         if self.num_classes < 2:
             raise ConfigError(f"need at least two classes, got {self.num_classes}")
 
-    def with_branches(self, branches: tuple[str, ...]) -> "ModelConfig":
-        return dataclasses.replace(self, branches=branches)
-
 
 def desk_config(num_classes: int = 4, seed: int = 0, **overrides) -> ModelConfig:
     """Laptop-scale configuration used by the smoke runs and sweeps."""
@@ -207,12 +204,10 @@ class MixSsmBlock(Module):
         ssm_shared_directions: bool,
         rng,
         dtype,
-        pre_norm: bool = True,
     ):
         self.branch_order = tuple(b for b in BRANCH_NAMES if b in branches)
         if not self.branch_order:
             raise ConfigError("a block needs at least one enabled branch")
-        self.pre_norm = pre_norm
         self.norm = LayerNorm(channels, dtype=dtype)
         self.ssm = (
             SsmBranch(channels, state_dim, ssm_shared_directions, rng=rng, dtype=dtype)
@@ -247,7 +242,7 @@ class MixSsmBlock(Module):
         return [(name, getattr(self, name)) for name in self.branch_order]
 
     def __call__(self, v: Tensor, rng=None, training: bool = False) -> Tensor:
-        u = self.norm(v) if self.pre_norm else v
+        u = self.norm(v)
         outputs = [branch(u) for _, branch in self.branch_modules()]
         fused = selective_module(outputs, self.fusion, rng=rng, training=training)
         return add(v, fused)
@@ -369,10 +364,34 @@ def save_checkpoint(model: Model, path: str) -> None:
             fh.write(blob)
 
 
+def _is_count(value) -> bool:
+    """A non-negative JSON integer (``true``/``false`` do not count)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _is_tensor_entry(entry) -> bool:
+    return (
+        isinstance(entry, dict)
+        and isinstance(entry.get("name"), str)
+        and isinstance(entry.get("shape"), list)
+        and all(_is_count(d) for d in entry["shape"])
+        and _is_count(entry.get("offset"))
+        and _is_count(entry.get("length"))
+    )
+
+
 def load_checkpoint(path: str, model: Model | None = None) -> Model:
-    """Rebuild (or refill) a model from a checkpoint, bit-exactly."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    """Rebuild (or refill) a model from a checkpoint, bit-exactly.
+
+    Every way the file can be malformed (unreadable, bad magic or version,
+    a tensor directory with missing, non-integer, negative, out-of-bounds or
+    overlapping entries) raises :class:`CheckpointError`.
+    """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: cannot read checkpoint: {exc}") from exc
     if len(raw) < len(CHECKPOINT_MAGIC) + 8 or raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
     header_len = int.from_bytes(raw[8:16], "little")
@@ -383,6 +402,8 @@ def load_checkpoint(path: str, model: Model | None = None) -> Model:
         header = json.loads(body[:header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {header.get('version')!r}")
     try:
@@ -390,6 +411,11 @@ def load_checkpoint(path: str, model: Model | None = None) -> Model:
         entries = header["tensors"]
     except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from exc
+    if not isinstance(entries, list) or not all(_is_tensor_entry(e) for e in entries):
+        raise CheckpointError(
+            f"{path}: malformed tensor directory: each entry needs a name and "
+            "non-negative integer shape, offset and length"
+        )
 
     if model is None:
         model = Model(config)
@@ -400,9 +426,10 @@ def load_checkpoint(path: str, model: Model | None = None) -> Model:
     params = dict(model.named_parameters())
     if sorted(params) != sorted(e["name"] for e in entries):
         raise CheckpointError(f"{path}: tensor directory does not match the model parameters")
-    for entry in entries:
+    prev_name, prev_end = None, 0
+    for entry in sorted(entries, key=lambda e: e["offset"]):
         name, shape = entry["name"], tuple(entry["shape"])
-        length, offset = int(entry["length"]), int(entry["offset"])
+        length, offset = entry["length"], entry["offset"]
         expected = 1
         for d in shape:
             expected *= d
@@ -410,9 +437,12 @@ def load_checkpoint(path: str, model: Model | None = None) -> Model:
             raise CheckpointError(
                 f"{path}: tensor {name} declares shape {shape} but length {length}"
             )
+        if offset < prev_end:
+            raise CheckpointError(f"{path}: tensors {prev_name} and {name} overlap in the payload")
         end = offset + 4 * length
         if end > len(payload):
             raise CheckpointError(f"{path}: truncated payload for tensor {name}")
+        prev_name, prev_end = name, end
         values = np.frombuffer(payload[offset:end], dtype="<f4").reshape(shape)
         target = params[name]
         if target.shape != shape:

@@ -619,7 +619,8 @@ def conv2d(
 
     ``x``: (..., H, W, C_in); ``w``: (kh, kw, C_in/groups, C_out);
     zero padding, ``"same"`` (ceil(H/stride) output) or ``"valid"``.
-    ``groups == C_in == C_out`` selects the depthwise fast path.
+    ``groups`` is 1 (dense) or ``C_in == C_out`` (depthwise); any other
+    value raises :class:`ShapeError`.
     """
     if x.ndim < 3:
         raise ShapeError(f"conv2d: input must be at least 3-d, got {x.shape}")
@@ -635,8 +636,11 @@ def conv2d(
     lead = x.shape[:-3]
     h, wdt, cin = x.shape[-3:]
     kh, kw, cin_g, cout = w.shape
-    if groups < 1 or cin % groups or cout % groups:
-        raise ShapeError(f"conv2d: groups={groups} does not divide channels {cin}->{cout}")
+    depthwise = groups == cin and cout == cin
+    if groups != 1 and not depthwise:
+        raise ShapeError(
+            f"conv2d: groups must be 1 or equal the channel count, got {groups} for {cin}->{cout}"
+        )
     if cin_g != cin // groups:
         raise ShapeError(
             f"conv2d: kernel expects {cin_g} input channels per group, input has {cin}/{groups}"
@@ -660,7 +664,6 @@ def conv2d(
 
     xb = x.data.reshape((-1, h, wdt, cin))
     xp = np.pad(xb, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    depthwise = groups == cin and cout == cin
     w_data = w.data
 
     def tap(arr, m, n):
@@ -672,18 +675,10 @@ def conv2d(
         for m in range(kh):
             for n in range(kw):
                 out += tap(xp, m, n) * w_data[m, n, 0]
-    elif groups == 1:
+    else:
         for m in range(kh):
             for n in range(kw):
                 out += tap(xp, m, n) @ w_data[m, n]
-    else:
-        cig, cog = cin // groups, cout // groups
-        for gi in range(groups):
-            xs = xp[..., gi * cig : (gi + 1) * cig]
-            acc = out[..., gi * cog : (gi + 1) * cog]
-            for m in range(kh):
-                for n in range(kw):
-                    acc += tap(xs, m, n) @ w_data[m, n, :, gi * cog : (gi + 1) * cog]
     if b is not None:
         out = out + b.data
     out = out.reshape(lead + (oh, ow, cout))
@@ -701,25 +696,12 @@ def conv2d(
                     xs = tap(xp, m, n)
                     gw[m, n, 0] = (xs * gb4).sum(axis=(0, 1, 2))
                     tap(gxp, m, n)[...] += gb4 * w_data[m, n, 0]
-        elif groups == 1:
+        else:
             for m in range(kh):
                 for n in range(kw):
                     xs = tap(xp, m, n)
                     gw[m, n] = np.tensordot(xs, gb4, axes=([0, 1, 2], [0, 1, 2]))
                     tap(gxp, m, n)[...] += gb4 @ w_data[m, n].T
-        else:
-            cig, cog = cin // groups, cout // groups
-            for gi in range(groups):
-                xs_g = xp[..., gi * cig : (gi + 1) * cig]
-                gg = gb4[..., gi * cog : (gi + 1) * cog]
-                gxs = gxp[..., gi * cig : (gi + 1) * cig]
-                for m in range(kh):
-                    for n in range(kw):
-                        xs = tap(xs_g, m, n)
-                        gw[m, n, :, gi * cog : (gi + 1) * cog] = np.tensordot(
-                            xs, gg, axes=([0, 1, 2], [0, 1, 2])
-                        )
-                        tap(gxs, m, n)[...] += gg @ w_data[m, n, :, gi * cog : (gi + 1) * cog].T
         gx = gxp[:, pt : pt + h, pl : pl + wdt, :].reshape(x_shape)
         if has_bias:
             return gx, gw, gb4.sum(axis=(0, 1, 2))

@@ -81,10 +81,6 @@ class Adam:
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
     def step(self) -> None:
         self.t += 1
         for i, p in enumerate(self.params):
@@ -139,7 +135,7 @@ def train(
             try:
                 probs = model.forward_classify(images, rng=pool_rng, training=True)
                 loss = cross_entropy_loss(probs, labels)
-                optimizer.zero_grad()
+                model.zero_grad()
                 loss.backward()
                 optimizer.step()
             except NumericsError as exc:

@@ -10,7 +10,7 @@ import pytest
 from mixssm.cli import ABLATION_VARIANTS, main
 from mixssm.config import emit_config, parse_config
 from mixssm.data import generate_synthetic
-from mixssm.errors import ConfigError
+from mixssm.errors import CheckpointError, ConfigError
 from mixssm.network import Model, ModelConfig, load_checkpoint, save_checkpoint
 
 MICRO_CONFIG = {
@@ -277,6 +277,14 @@ def test_synth_same_seed_identical_trees(tmp_path):
     assert digest(a) == digest(b)
 
 
+def test_eval_metrics_out_directory_exits_1(workdir, tmp_path, capsys):
+    ckpt = str(workdir["root"] / "model.ckpt")
+    code = main(["eval", "--ckpt", ckpt, "--data", workdir["data"], "--metrics-out", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_synth_rejects_zero_per_class(tmp_path):
     assert main(["synth", "--out", str(tmp_path / "x"), "--per-class", "0"]) == 1
 
@@ -298,6 +306,55 @@ def test_inspect_counts_sum_to_total(workdir, tmp_path, capsys):
     assert total == sum(counts.values()) == Model(ablated).parameter_count()
 
 
+def _rewrite_header(src, dst, mutate):
+    blob = open(src, "rb").read()
+    header_len = int.from_bytes(blob[8:16], "little")
+    header = mutate(json.loads(blob[16 : 16 + header_len].decode()))
+    new_header = json.dumps(header).encode()
+    open(dst, "wb").write(
+        blob[:8] + len(new_header).to_bytes(8, "little") + new_header + blob[16 + header_len :]
+    )
+
+
+def _set_entry(index, key, value):
+    def mutate(header):
+        header["tensors"][index][key] = value
+        return header
+    return mutate
+
+
+def _shared_offset(header):
+    header["tensors"][1]["offset"] = header["tensors"][0]["offset"]
+    return header
+
+
+MALFORMED_HEADERS = {
+    "header_is_list": lambda header: [header],
+    "entry_is_int": lambda header: {**header, "tensors": [7] + header["tensors"][1:]},
+    "shape_is_string": _set_entry(0, "shape", "ab"),
+    "tensors_is_int": lambda header: {**header, "tensors": 7},
+    "negative_offset": _set_entry(0, "offset", -4),
+    "shared_offset": _shared_offset,
+}
+
+
+@pytest.mark.parametrize("case", [*MALFORMED_HEADERS, "directory"])
+def test_malformed_checkpoint_raises_checkpoint_error_and_exits_1(case, tmp_path, capsys):
+    ckpt = str(tmp_path / "model.ckpt")
+    save_checkpoint(Model(micro_model_config()), ckpt)
+    if case == "directory":
+        bad = str(tmp_path)
+    else:
+        bad = str(tmp_path / "bad.ckpt")
+        _rewrite_header(ckpt, bad, MALFORMED_HEADERS[case])
+    with pytest.raises(CheckpointError):
+        load_checkpoint(bad)
+    capsys.readouterr()
+    assert main(["inspect", "--ckpt", bad]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 # -- config round trip ----------------------------------------------------------------------
 
 
@@ -312,3 +369,13 @@ def test_config_parse_emit_parse_round_trip(workdir):
 def test_config_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown"):
         parse_config(json.dumps({**MICRO_CONFIG, "optimizer": "sgd"}))
+
+
+def test_config_data_path_fields_rejected(tmp_path, capsys):
+    text = json.dumps({**MICRO_CONFIG, "train_data": "data/"})
+    with pytest.raises(ConfigError, match="train_data"):
+        parse_config(text)
+    path = tmp_path / "run.json"
+    path.write_text(text)
+    assert main(["emit-config", "--config", str(path)]) == 1
+    assert "train_data" in capsys.readouterr().err

@@ -71,17 +71,18 @@ def test_patch_embed_rejects_indivisible_dims():
 # -- mixing block -----------------------------------------------------------------
 
 
-def make_block(branches, rng=None, pre_norm=True):
+def make_block(branches, rng=None):
     rng = rng if rng is not None else np.random.default_rng(4)
     return MixSsmBlock(
         8, 2, branches, state_dim=4, kernel_size=3, pooling="average",
         aggregation="selective", reduction=4, ssm_shared_directions=True,
-        rng=rng, dtype=np.float64, pre_norm=pre_norm,
+        rng=rng, dtype=np.float64,
     )
 
 
 def test_block_single_identity_branch_doubles_input():
-    block = make_block(("conv",), pre_norm=False)
+    # an identity branch after the pre-norm gives v + norm(v)
+    block = make_block(("conv",))
     w = np.zeros_like(block.conv.weight.data)
     for c in range(8):
         w[1, 1, c, c] = 1.0
@@ -89,7 +90,7 @@ def test_block_single_identity_branch_doubles_input():
     block.conv.bias.data = np.zeros(8)
     block.conv.act = "identity"
     v = t64(np.random.default_rng(5).standard_normal((4, 4, 8)))
-    assert np.allclose(block(v).data, 2.0 * v.data)
+    assert np.allclose(block(v).data, v.data + block.norm(v).data)
 
 
 def test_block_zero_branch_parameters_is_residual_identity():

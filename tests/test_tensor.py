@@ -192,8 +192,6 @@ PRIMITIVE_CASES = [
      lambda x, c: conv2d(x, c((2, 2, 2, 3)), stride=2, padding="valid")),
     ("conv2d_depthwise", lambda rng: rng.standard_normal((4, 4, 3)),
      lambda x, c: conv2d(x, c((3, 3, 1, 3)), groups=3)),
-    ("conv2d_grouped", lambda rng: rng.standard_normal((4, 4, 4)),
-     lambda x, c: conv2d(x, c((3, 3, 2, 4)), groups=2)),
     ("reshape", lambda rng: rng.standard_normal((3, 4)),
      lambda x, c: reshape(x, (2, 6))),
     ("transpose", lambda rng: rng.standard_normal((2, 3, 4)),
@@ -318,6 +316,11 @@ def test_shape_mismatch_names_op_and_shapes():
     assert "matmul" in str(err.value)
     with pytest.raises(ShapeError):
         conv2d(Tensor(np.zeros((4, 4, 3))), Tensor(np.zeros((3, 3, 2, 2))))
+
+
+def test_conv2d_groups_other_than_dense_or_depthwise_rejected():
+    with pytest.raises(ShapeError, match="groups"):
+        conv2d(Tensor(np.zeros((4, 4, 4))), Tensor(np.zeros((3, 3, 2, 4))), groups=2)
 
 
 def test_mixed_precision_in_one_graph_rejected():

@@ -113,7 +113,7 @@ def test_adam_three_steps_match_reference_recurrence():
     grads = []
     for _ in range(3):
         loss = reduce_sum(mul(p, p))
-        opt.zero_grad()
+        p.grad = None
         loss.backward()
         grads.append(float(p.grad[0]))
         opt.step()
