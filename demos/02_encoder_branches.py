@@ -32,14 +32,15 @@ for name, branch in branches.items():
     out = branch(v)
     print(f"{name:30s} {v.shape} -> {out.shape}")
 
-# The SSM branch sees the 2-d grid as four 1-d traversals: row-major, its
-# reverse, column-major, its reverse.  Re-ordering them back and summing
-# reproduces the map exactly four times over.
+# The SSM branch sees the 2-d grid as four 1-d traversals, stacked on one
+# axis: row-major, its reverse, column-major, its reverse.  Re-ordering them
+# back and summing reproduces the map exactly four times over.
 tiny = Tensor(np.arange(6.0, dtype=np.float32).reshape(2, 3, 1))
 seqs = cross_scan(tiny)
-print("row-major order:   ", seqs[0].data[:, 0].tolist())
-print("reverse row-major: ", seqs[1].data[:, 0].tolist())
-print("column-major order:", seqs[2].data[:, 0].tolist())
+print("stacked traversals (directions, T, C):", seqs.shape)
+print("row-major order:   ", seqs.data[0, :, 0].tolist())
+print("reverse row-major: ", seqs.data[1, :, 0].tolist())
+print("column-major order:", seqs.data[2, :, 0].tolist())
 merged = cross_merge(seqs, 2, 3)
 print("merge(scan(V)) == 4V:", np.array_equal(merged.data, 4 * tiny.data))
 

@@ -1,6 +1,6 @@
 """How the selective module decides which encoder to trust, per channel.
 
-The fused branch sum is pooled to one descriptor per channel; a small MLP
+The branch maps are stacked on one leading axis; their sum over it is pooled to one descriptor per channel; a small MLP
 turns that descriptor into one logit per (channel, strategy) pair, and a
 softmax over strategies yields convex mixing weights.
 """
@@ -8,14 +8,16 @@ softmax over strategies yields convex mixing weights.
 import numpy as np
 
 from mixssm import Tensor
-from mixssm.fusion import SelectiveFusion, fuse_sum, pool_global, selective_module
+from mixssm.fusion import SelectiveFusion, pool_global, selective_module, stack_branches
+from mixssm.tensor import reduce_sum
 
 rng = np.random.default_rng(7)
 C, n = 8, 4
 maps = [Tensor(rng.standard_normal((5, 5, C)).astype(np.float32)) for _ in range(n)]
 
+fused = reduce_sum(stack_branches(maps), axis=0)
 fusion = SelectiveFusion(C, n=n, rng=rng)
-pooled = pool_global(fuse_sum(maps), "average")
+pooled = pool_global(fused, "average")
 weights = fusion.selective_weights(pooled)
 print("per-channel strategy weights (rows are channels):")
 print(np.round(weights.data, 3))
@@ -36,5 +38,5 @@ for mode in ("elementwise-max", "elementwise-average"):
 # Pooling variants for the descriptor; stochastic pooling needs an explicit
 # random stream while training and is an expectation at evaluation time.
 for method in ("average", "max", "l2", "stochastic"):
-    g = pool_global(fuse_sum(maps), method)
+    g = pool_global(fused, method)
     print(f"pool {method:10s} first channels: {np.round(g.data[:4], 3)}")

@@ -74,7 +74,7 @@ def _resolve_run_config(args) -> RunConfig:
     model = run.model
     if getattr(args, "seed", None) is not None:
         model = dataclasses.replace(model, seed=args.seed)
-    run = dataclasses.replace(
+    return dataclasses.replace(
         run,
         model=model,
         epochs=args.epochs if getattr(args, "epochs", None) is not None else run.epochs,
@@ -83,13 +83,9 @@ def _resolve_run_config(args) -> RunConfig:
         else run.batch_size,
         lr=args.lr if getattr(args, "lr", None) is not None else run.lr,
     )
-    run.validate()
-    return run
 
 
 def _load_training_data(run: RunConfig, data_dir: str, explicit_config: bool):
-    if not os.path.isdir(data_dir):
-        raise DataError(f"data directory {data_dir} does not exist")
     dataset = load_image_folder(data_dir, run.model.input_size)
     if explicit_config:
         if dataset.num_classes != run.model.num_classes:
@@ -182,8 +178,6 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.ckpt)
-    if not os.path.isdir(args.data):
-        raise DataError(f"data directory {args.data} does not exist")
     dataset = load_image_folder(args.data, model.config.input_size)
     if dataset.num_classes != model.config.num_classes:
         raise ConfigError(

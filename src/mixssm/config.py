@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .network import ModelConfig, config_from_dict, config_to_dict
+from .network import ModelConfig, check_field_types, config_from_dict, config_to_dict
 
 __all__ = ["RunConfig", "parse_config", "emit_config", "load_config_file"]
 
@@ -23,13 +24,17 @@ class RunConfig:
     batch_size: int = 32
     lr: float = 5e-5
 
+    def __post_init__(self):
+        check_field_types(self)
+        self.validate()
+
     def validate(self) -> None:
         if self.epochs < 0:
             raise ConfigError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be positive, got {self.batch_size}")
-        if self.lr < 0:
-            raise ConfigError(f"lr must be non-negative, got {self.lr}")
+        if not 0 <= self.lr < math.inf:
+            raise ConfigError(f"lr must be non-negative and finite, got {self.lr}")
 
 
 _TRAIN_FIELDS = ("epochs", "batch_size", "lr")
@@ -47,9 +52,7 @@ def parse_config(text: str) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     model = config_from_dict({k: v for k, v in data.items() if k in model_keys})
-    run = RunConfig(model=model, **{k: data[k] for k in _TRAIN_FIELDS if k in data})
-    run.validate()
-    return run
+    return RunConfig(model=model, **{k: data[k] for k in _TRAIN_FIELDS if k in data})
 
 
 def emit_config(config: RunConfig) -> str:

@@ -6,9 +6,9 @@ Each branch maps a feature map (..., H, W, C) to a same-shape map:
 * :class:`AttentionBranch` -- full multi-head self-attention over the
   flattened token sequence.
 * :class:`ChannelMlpBranch` -- per-position two-layer channel MLP.
-* :class:`SsmBranch` -- cross-scan into four directional sequences, an
-  input-conditioned diagonal state-space scan per direction, inverse
-  reordering, summation and a pointwise output mix.
+* :class:`SsmBranch` -- cross-scan into four directional sequences stacked
+  on one axis, an input-conditioned diagonal state-space scan of all four
+  at once, inverse reordering, summation and a pointwise output mix.
 
 Leading axes beyond (H, W, C) are treated as batch dimensions everywhere.
 """
@@ -62,36 +62,42 @@ def _activation(name: str):
 # -- directional unrolling ---------------------------------------------------
 
 
-def cross_scan(v: Tensor) -> list[Tensor]:
-    """Unroll a (..., H, W, C) map into four 1-d traversals of length H*W.
+def _take(x: Tensor, axis: int, start: int, stop: int | None = None) -> Tensor:
+    """Entries start:stop (start:start+1 by default) of ``x`` along ``axis``."""
+    key = [slice(None)] * x.ndim
+    key[axis] = slice(start, start + 1 if stop is None else stop)
+    return slice_(x, tuple(key))
 
-    Directions: row-major; its reverse; column-major; its reverse.
+
+def cross_scan(v: Tensor) -> Tensor:
+    """Unroll a (..., H, W, C) map into four 1-d traversals, stacked (..., 4, H*W, C).
+
+    Directions along the stacking axis: row-major; its reverse; column-major;
+    its reverse.
     """
     if v.ndim < 3:
         raise ShapeError(f"cross_scan expects (..., H, W, C), got {v.shape}")
     *lead, h, w, c = v.shape
-    seq_shape = (*lead, h * w, c)
-    d1 = reshape(v, seq_shape)
-    d2 = flip(d1, axis=-2)
+    seq_shape = (*lead, 1, h * w, c)
     perm = tuple(range(len(lead))) + (v.ndim - 2, v.ndim - 3, v.ndim - 1)
-    d3 = reshape(transpose(v, perm), seq_shape)
-    d4 = flip(d3, axis=-2)
-    return [d1, d2, d3, d4]
+    rows = reshape(v, seq_shape)
+    cols = reshape(transpose(v, perm), seq_shape)
+    return concat([rows, flip(rows, axis=-2), cols, flip(cols, axis=-2)], axis=-3)
 
 
-def cross_merge(seqs: list[Tensor], h: int, w: int) -> Tensor:
-    """Reorder four directional sequences back onto the grid and sum them."""
-    if len(seqs) != 4:
-        raise ShapeError(f"cross_merge expects 4 sequences, got {len(seqs)}")
-    *lead, t, c = seqs[0].shape
-    if t != h * w:
-        raise ShapeError(f"cross_merge: sequence length {t} != {h}x{w}")
-    perm = tuple(range(len(lead))) + (len(lead) + 1, len(lead), len(lead) + 2)
-    g1 = reshape(seqs[0], (*lead, h, w, c))
-    g2 = reshape(flip(seqs[1], axis=-2), (*lead, h, w, c))
-    g3 = transpose(reshape(seqs[2], (*lead, w, h, c)), perm)
-    g4 = transpose(reshape(flip(seqs[3], axis=-2), (*lead, w, h, c)), perm)
-    return add(add(g1, g2), add(g3, g4))
+def cross_merge(seqs: Tensor, h: int, w: int) -> Tensor:
+    """Reorder the (..., 4, H*W, C) traversals of :func:`cross_scan` back onto
+    the (..., H, W, C) grid and sum them."""
+    if seqs.ndim < 3 or seqs.shape[-3:-1] != (4, h * w):
+        raise ShapeError(f"cross_merge expects (..., 4, {h}*{w}, C), got {seqs.shape}")
+    *lead, _, t, c = seqs.shape
+    nl = len(lead)
+    # (row-major | column-major) x (forward | reversed)
+    pairs = reshape(seqs, (*lead, 2, 2, t, c))
+    both = add(_take(pairs, nl + 1, 0), flip(_take(pairs, nl + 1, 1), axis=-2))
+    rows = reshape(_take(both, nl, 0), (*lead, h, w, c))
+    cols = reshape(_take(both, nl, 1), (*lead, w, h, c))
+    return add(rows, transpose(cols, tuple(range(nl)) + (nl + 1, nl, nl + 2)))
 
 
 # -- linear recurrence -------------------------------------------------------
@@ -111,12 +117,6 @@ def linear_scan(decay: Tensor, x: Tensor) -> Tensor:
         )
     axis = x.ndim - 3
     t = x.shape[axis]
-
-    def seg(tensor: Tensor, start: int, stop: int) -> Tensor:
-        key = [slice(None)] * tensor.ndim
-        key[axis] = slice(start, stop)
-        return slice_(tensor, tuple(key))
-
     a, b = decay, x
     step = 1
     while step < t:
@@ -124,8 +124,8 @@ def linear_scan(decay: Tensor, x: Tensor) -> Tensor:
         head_shape[axis] = step
         ones_head = Tensor(np.ones(head_shape, dtype=a.dtype))
         zeros_head = Tensor(np.zeros(head_shape, dtype=a.dtype))
-        a_prev = concat([ones_head, seg(a, 0, t - step)], axis)
-        b_prev = concat([zeros_head, seg(b, 0, t - step)], axis)
+        a_prev = concat([ones_head, _take(a, axis, 0, t - step)], axis)
+        b_prev = concat([zeros_head, _take(b, axis, 0, t - step)], axis)
         b = add(b, mul(a, b_prev))
         a = mul(a, a_prev)
         step *= 2
@@ -306,15 +306,6 @@ class SsmBranch(Module):
         self.out_bias = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
 
     def __call__(self, v: Tensor) -> Tensor:
-        *lead, h, w, c = v.shape
-        t = h * w
-        seqs = cross_scan(v)
-        stacked = concat([reshape(s, (*lead, 1, t, c)) for s in seqs], axis=-3)
-        scanned = selective_scan(stacked, self)
-        outs = []
-        for k in range(4):
-            key = [slice(None)] * scanned.ndim
-            key[scanned.ndim - 3] = slice(k, k + 1)
-            outs.append(reshape(slice_(scanned, tuple(key)), (*lead, t, c)))
-        merged = cross_merge(outs, h, w)
+        h, w = v.shape[-3:-1]
+        merged = cross_merge(selective_scan(cross_scan(v), self), h, w)
         return add(matmul(merged, self.out_weight), self.out_bias)

@@ -1,10 +1,11 @@
 """Adaptive aggregation of the branch outputs.
 
-The selective path sums the branch maps, optionally smooths the sum with a
-depthwise k x k convolution, pools it to a per-channel descriptor, runs a
-squeeze-style MLP to one logit per (channel, strategy) pair, normalizes over
-strategies with softmax, and takes the per-channel convex combination of the
-branch maps.  The elementwise max / average modes are the non-adaptive
+The n branch maps are stacked into one (n, ..., H, W, C) tensor.  The
+selective path sums it over the stacking axis, optionally smooths the sum
+with a depthwise k x k convolution, pools it to a per-channel descriptor,
+runs a squeeze-style MLP to one logit per (channel, strategy) pair,
+normalizes over strategies with softmax, and takes the per-channel convex
+combination of the branch maps.  The elementwise max / average modes are the non-adaptive
 baselines that replace the whole module.
 """
 
@@ -17,26 +18,26 @@ from .modules import Module, trunc_normal
 from .tensor import (
     Tensor,
     add,
+    concat,
     conv2d,
     gelu,
     matmul,
-    maximum,
     mul,
     reduce_max,
     reduce_mean,
     reduce_sum,
     reshape,
-    slice_,
     softmax,
     sqrt,
+    transpose,
 )
 
 __all__ = [
     "SelectiveFusion",
-    "fuse_sum",
     "pool_global",
     "selective_combine",
     "selective_module",
+    "stack_branches",
     "POOLING_METHODS",
     "AGGREGATION_MODES",
 ]
@@ -45,18 +46,15 @@ POOLING_METHODS = ("average", "max", "l2", "stochastic")
 AGGREGATION_MODES = ("selective", "elementwise-max", "elementwise-average")
 
 
-def fuse_sum(branch_outputs: list[Tensor]) -> Tensor:
-    """Elementwise sum of same-shape branch maps."""
+def stack_branches(branch_outputs: list[Tensor]) -> Tensor:
+    """Stack n same-shape (..., H, W, C) branch maps into one (n, ..., H, W, C)."""
     if not branch_outputs:
-        raise ShapeError("fuse_sum needs at least one branch output")
+        raise ShapeError("stack_branches needs at least one branch output")
     shape = branch_outputs[0].shape
     for f in branch_outputs[1:]:
         if f.shape != shape:
-            raise ShapeError(f"fuse_sum: branch shapes {shape} and {f.shape} differ")
-    acc = branch_outputs[0]
-    for f in branch_outputs[1:]:
-        acc = add(acc, f)
-    return acc
+            raise ShapeError(f"stack_branches: branch shapes {shape} and {f.shape} differ")
+    return concat([reshape(f, (1, *shape)) for f in branch_outputs], axis=0)
 
 
 def pool_global(
@@ -100,27 +98,21 @@ def pool_global(
     raise ValueError(f"unknown pooling method {method!r}; expected one of {POOLING_METHODS}")
 
 
-def selective_combine(branch_outputs: list[Tensor], weights: Tensor) -> Tensor:
-    """Per-channel convex combination sum_m p[..., c, m] * F_m(..., c)."""
-    n = len(branch_outputs)
+def selective_combine(stacked: Tensor, weights: Tensor) -> Tensor:
+    """Per-channel convex combination sum_m p[..., c, m] * F_m(..., c).
+
+    ``stacked`` holds the n maps as (n, ..., H, W, C); ``weights`` is (..., C, n).
+    """
+    n, c = stacked.shape[0], stacked.shape[-1]
     if weights.shape[-1] != n:
         raise ShapeError(
             f"selective_combine: {n} branch outputs but weights have {weights.shape[-1]} columns"
         )
-    c = branch_outputs[0].shape[-1]
     if weights.shape[-2] != c:
         raise ShapeError(f"selective_combine: weights cover {weights.shape[-2]} channels, maps have {c}")
     lead = weights.shape[:-2]
-    acc = None
-    for m, f in enumerate(branch_outputs):
-        if f.shape[-1] != c:
-            raise ShapeError(f"selective_combine: branch {m} has {f.shape[-1]} channels, expected {c}")
-        key = [slice(None)] * weights.ndim
-        key[-1] = slice(m, m + 1)
-        w_m = reshape(slice_(weights, tuple(key)), (*lead, 1, 1, c))
-        term = mul(w_m, f)
-        acc = term if acc is None else add(acc, term)
-    return acc
+    per_branch = transpose(weights, (weights.ndim - 1, *range(weights.ndim - 1)))
+    return reduce_sum(mul(reshape(per_branch, (n, *lead, 1, 1, c)), stacked), axis=0)
 
 
 class SelectiveFusion(Module):
@@ -183,14 +175,6 @@ class SelectiveFusion(Module):
         logits = reshape(logits, (*lead, self.channels, self.n))
         return softmax(logits, axis=-1)
 
-    def __call__(
-        self,
-        branch_outputs: list[Tensor],
-        rng: np.random.Generator | None = None,
-        training: bool = False,
-    ) -> Tensor:
-        return selective_module(branch_outputs, self, rng=rng, training=training)
-
 
 def selective_module(
     branch_outputs: list[Tensor],
@@ -200,21 +184,18 @@ def selective_module(
 ) -> Tensor:
     """Aggregate branch maps by the mode ``params`` was built with."""
     mode = params.mode
-    if mode == "selective":
-        if len(branch_outputs) != params.n:
-            raise ShapeError(
-                f"fusion built for {params.n} strategies, got {len(branch_outputs)} branch outputs"
-            )
-        fused = fuse_sum(branch_outputs)
-        smoothed = conv2d(fused, params.pre_pool_kernel, padding="same", groups=params.channels)
-        pooled = pool_global(smoothed, params.pooling, rng=rng, training=training)
-        weights = params.selective_weights(pooled)
-        return selective_combine(branch_outputs, weights)
+    if mode not in AGGREGATION_MODES:
+        raise ValueError(f"unknown aggregation mode {mode!r}; expected one of {AGGREGATION_MODES}")
+    if mode == "selective" and len(branch_outputs) != params.n:
+        raise ShapeError(
+            f"fusion built for {params.n} strategies, got {len(branch_outputs)} branch outputs"
+        )
+    stacked = stack_branches(branch_outputs)
     if mode == "elementwise-max":
-        acc = branch_outputs[0]
-        for f in branch_outputs[1:]:
-            acc = maximum(acc, f)
-        return acc
+        return reduce_max(stacked, axis=0)
+    fused = reduce_sum(stacked, axis=0)
     if mode == "elementwise-average":
-        return fuse_sum(branch_outputs) / float(len(branch_outputs))
-    raise ValueError(f"unknown aggregation mode {mode!r}; expected one of {AGGREGATION_MODES}")
+        return fused / float(len(branch_outputs))
+    smoothed = conv2d(fused, params.pre_pool_kernel, padding="same", groups=params.channels)
+    pooled = pool_global(smoothed, params.pooling, rng=rng, training=training)
+    return selective_combine(stacked, params.selective_weights(pooled))

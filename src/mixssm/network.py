@@ -61,6 +61,10 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
+        unknown = sorted(set(self.branches) - set(BRANCH_NAMES))
+        if unknown:
+            raise ConfigError(f"unknown branches {unknown}; expected a subset of {BRANCH_NAMES}")
         object.__setattr__(self, "input_size", tuple(self.input_size))
         object.__setattr__(self, "depths", tuple(self.depths))
         object.__setattr__(self, "channels", tuple(self.channels))
@@ -71,6 +75,12 @@ class ModelConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name in ("input_size", "in_channels", "patch_size", "depths", "channels"):
+            value = getattr(self, name)
+            if min(value if isinstance(value, tuple) else (value,), default=1) < 1:
+                raise ConfigError(f"{name} must be positive, got {value}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         h, w = self.input_size
         stages = len(self.depths)
         if stages < 1:
@@ -92,9 +102,6 @@ class ModelConfig:
                 raise ConfigError(f"stage channels must double each stage, got {self.channels}")
         if not self.branches:
             raise ConfigError("at least one branch must be enabled")
-        for b in self.branches:
-            if b not in BRANCH_NAMES:
-                raise ConfigError(f"unknown branch {b!r}; expected subset of {BRANCH_NAMES}")
         for c, heads in zip(self.channels, self.heads):
             if heads < 1 or c % heads:
                 raise ConfigError(f"heads {heads} must divide stage channels {c}")
@@ -110,6 +117,38 @@ class ModelConfig:
             raise ConfigError(f"unknown aggregation {self.aggregation!r}")
         if self.num_classes < 2:
             raise ConfigError(f"need at least two classes, got {self.num_classes}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_list_of(check):
+    return lambda value: isinstance(value, (list, tuple)) and all(map(check, value))
+
+
+# JSON type of each annotation a config field carries: (description, check)
+_FIELD_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple[int, int]": ("a list of two integers", lambda v: _is_list_of(_is_int)(v) and len(v) == 2),
+    "tuple[int, ...]": ("a list of integers", _is_list_of(_is_int)),
+    "tuple[str, ...]": ("a list of strings", _is_list_of(lambda v: isinstance(v, str))),
+    "ModelConfig": ("a model config", lambda v: isinstance(v, ModelConfig)),
+}
+
+
+def check_field_types(config) -> None:
+    """Raise :class:`ConfigError` unless each field of a config dataclass holds
+    the JSON type its annotation names.  Called before any normalization, so
+    ``"branches": "ssm"`` is refused instead of read as a set of characters."""
+    for f in dataclasses.fields(config):
+        want, check = _FIELD_TYPES[f.type]
+        value = getattr(config, f.name)
+        if not check(value):
+            raise ConfigError(f"{f.name} must be {want}, got {value!r}")
 
 
 def desk_config(num_classes: int = 4, seed: int = 0, **overrides) -> ModelConfig:

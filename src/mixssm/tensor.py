@@ -136,20 +136,10 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.node is None
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() requires a scalar tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        """Read-only view of the underlying buffer."""
-        view = self.data.view()
-        view.flags.writeable = False
-        return view
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"

@@ -13,10 +13,10 @@ import pytest
 from mixssm.cli import ABLATION_VARIANTS, main
 from mixssm.data import generate_synthetic, load_image_folder
 from mixssm.encoders import ConvBranch, SsmBranch, cross_merge, cross_scan, selective_scan
-from mixssm.fusion import SelectiveFusion, fuse_sum, pool_global, selective_module
+from mixssm.fusion import SelectiveFusion, pool_global, selective_module, stack_branches
 from mixssm.gradcheck import gradient_suite
 from mixssm.network import Model, ModelConfig, desk_config, load_checkpoint, save_checkpoint
-from mixssm.tensor import Tensor, no_grad
+from mixssm.tensor import Tensor, no_grad, reduce_sum
 from mixssm.train import evaluate, metrics_from_predictions, train
 
 GRADIENT_TOLERANCE = 1e-3
@@ -171,7 +171,7 @@ def test_criterion_3_selective_module_invariants():
         fusion.b2.data = rng.standard_normal(fusion.b2.shape)
         maps = [Tensor(rng.standard_normal((3, 4, 8)), dtype=np.float64) for _ in range(n)]
         weights = fusion.selective_weights(
-            pool_global(fuse_sum(maps), "average")
+            pool_global(reduce_sum(stack_branches(maps), axis=0), "average")
         ).data
         worst_sum = max(worst_sum, float(np.abs(weights.sum(-1) - 1.0).max()))
         out = selective_module(maps, fusion).data

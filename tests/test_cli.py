@@ -335,6 +335,7 @@ MALFORMED_HEADERS = {
     "tensors_is_int": lambda header: {**header, "tensors": 7},
     "negative_offset": _set_entry(0, "offset", -4),
     "shared_offset": _shared_offset,
+    "seed_is_string": lambda header: {**header, "config": {**header["config"], "seed": "x"}},
 }
 
 
@@ -364,6 +365,31 @@ def test_config_parse_emit_parse_round_trip(workdir):
     again = parse_config(emit_config(once))
     assert once == again
     assert emit_config(once) == emit_config(again)
+
+
+BAD_CONFIGS = [
+    {"epochs": "x"},
+    {"lr": None},
+    {"depths": 5},
+    {"patch_size": 0},
+    {"seed": "x"},
+    {"batch_size": 2.5},
+    {"input_size": [32.0, 32]},
+    {"epochs": True},
+    {"in_channels": 0},
+    {"branches": "ssm"},
+]
+
+
+@pytest.mark.parametrize("override", BAD_CONFIGS, ids=lambda o: json.dumps(o))
+def test_config_wrong_type_or_size_exits_1(override, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({**MICRO_CONFIG, **override}))
+    with pytest.raises(ConfigError, match=next(iter(override))):
+        parse_config(path.read_text())
+    assert main(["emit-config", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_config_unknown_key_rejected():

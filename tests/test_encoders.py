@@ -16,7 +16,18 @@ from mixssm.encoders import (
     selective_scan,
 )
 from mixssm.errors import ConfigError, ShapeError
-from mixssm.tensor import Tensor, mul, reduce_sum, reshape, transpose
+from mixssm.tensor import (
+    Tensor,
+    add,
+    concat,
+    flip,
+    matmul,
+    mul,
+    reduce_sum,
+    reshape,
+    slice_,
+    transpose,
+)
 
 
 def t64(values):
@@ -201,7 +212,7 @@ def test_mlp_matches_two_matmul_oracle():
 def test_cross_scan_traversal_orders():
     a, b, c, d = [float(v) for v in (1, 2, 3, 4)]
     v = t64(np.array([[[a], [b]], [[c], [d]]]))
-    d1, d2, d3, d4 = [s.data[:, 0].tolist() for s in cross_scan(v)]
+    d1, d2, d3, d4 = cross_scan(v).data[:, :, 0].tolist()
     assert d1 == [a, b, c, d]
     assert d2 == [d, c, b, a]
     assert d3 == [a, c, b, d]
@@ -210,8 +221,8 @@ def test_cross_scan_traversal_orders():
 
 def test_cross_scan_single_position():
     v = t64(np.arange(3.0).reshape(1, 1, 3))
-    for s in cross_scan(v):
-        assert np.array_equal(s.data, v.data.reshape(1, 3))
+    for s in cross_scan(v).data:
+        assert np.array_equal(s, v.data.reshape(1, 3))
 
 
 def test_cross_merge_of_cross_scan_is_exactly_four_v():
@@ -219,6 +230,16 @@ def test_cross_merge_of_cross_scan_is_exactly_four_v():
     v = Tensor(rng.integers(-8, 9, size=(5, 3, 4)).astype(np.float32))
     merged = cross_merge(cross_scan(v), 5, 3)
     assert np.array_equal(merged.data, 4.0 * v.data)
+
+
+def test_cross_merge_rejects_wrong_shapes():
+    rng = np.random.default_rng(19)
+    with pytest.raises(ShapeError):
+        cross_merge(rand64(rng, (3, 6, 2)), 2, 3)  # three directions
+    with pytest.raises(ShapeError):
+        cross_merge(rand64(rng, (4, 5, 2)), 2, 3)  # 5 tokens on a 2x3 grid
+    with pytest.raises(ShapeError):
+        cross_merge(rand64(rng, (4, 6)), 2, 3)  # no channel axis
 
 
 # -- scans --------------------------------------------------------------------------
@@ -312,6 +333,44 @@ def test_ssm_branch_separate_direction_parameters():
     assert separate.parameter_count() > shared.parameter_count()
     v = rand64(rng, (2, 3, 4))
     assert separate(v).shape == (2, 3, 4)
+
+
+def list_based_ssm_branch(branch, v):
+    """SsmBranch forward with the directions kept as a python list: four
+    traversals concatenated for one scan, sliced apart again, and put back
+    on the grid one by one before the (g1 + g2) + (g3 + g4) sum."""
+    *lead, h, w, c = v.shape
+    t, nl = h * w, len(lead)
+    to_cols = tuple(range(nl)) + (nl + 1, nl, nl + 2)
+    d1 = reshape(v, (*lead, t, c))
+    d3 = reshape(transpose(v, to_cols), (*lead, t, c))
+    seqs = [d1, flip(d1, axis=-2), d3, flip(d3, axis=-2)]
+    scanned = selective_scan(concat([reshape(s, (*lead, 1, t, c)) for s in seqs], axis=-3), branch)
+    outs = []
+    for k in range(4):
+        key = [slice(None)] * scanned.ndim
+        key[nl] = slice(k, k + 1)
+        outs.append(reshape(slice_(scanned, tuple(key)), (*lead, t, c)))
+    g1 = reshape(outs[0], (*lead, h, w, c))
+    g2 = reshape(flip(outs[1], axis=-2), (*lead, h, w, c))
+    g3 = transpose(reshape(outs[2], (*lead, w, h, c)), to_cols)
+    g4 = transpose(reshape(flip(outs[3], axis=-2), (*lead, w, h, c)), to_cols)
+    merged = add(add(g1, g2), add(g3, g4))
+    return add(matmul(merged, branch.out_weight), branch.out_bias)
+
+
+@pytest.mark.parametrize("shared", [True, False])
+def test_ssm_branch_matches_list_based_path_bitwise(shared):
+    grads = []
+    for forward in (SsmBranch.__call__, list_based_ssm_branch):
+        rng = np.random.default_rng(18)
+        branch = SsmBranch(6, state_dim=4, shared_directions=shared, rng=rng)
+        v = Tensor(rng.standard_normal((2, 3, 5, 6)).astype(np.float32), requires_grad=True)
+        out = forward(branch, v)
+        reduce_sum(mul(out, Tensor(rng.standard_normal(out.shape).astype(np.float32)))).backward()
+        grads.append([out.data, v.grad] + [p.grad for p in branch.parameters()])
+    for got, want in zip(*grads):
+        assert np.array_equal(got, want)
 
 
 def test_state_dim_must_be_positive():

@@ -9,12 +9,12 @@ from scipy.special import erf
 from mixssm.errors import ConfigError, ShapeError
 from mixssm.fusion import (
     SelectiveFusion,
-    fuse_sum,
     pool_global,
     selective_combine,
     selective_module,
+    stack_branches,
 )
-from mixssm.tensor import Tensor
+from mixssm.tensor import Tensor, add, conv2d, maximum, mul, reduce_sum, reshape, slice_
 
 
 def t64(values):
@@ -25,33 +25,50 @@ def rand_maps(rng, n, shape=(3, 4, 8)):
     return [t64(rng.standard_normal(shape)) for _ in range(n)]
 
 
-# -- fuse_sum -------------------------------------------------------------------
+def branch_sum(maps):
+    return reduce_sum(stack_branches(maps), axis=0)
+
+
+# -- sum of the stacked branches ------------------------------------------------
 
 
 def test_fuse_sum_zero_branch_is_identity():
     rng = np.random.default_rng(0)
     f = rng.standard_normal((2, 2, 3))
-    out = fuse_sum([t64(f), t64(np.zeros_like(f))])
+    out = branch_sum([t64(f), t64(np.zeros_like(f))])
     assert np.array_equal(out.data, f)
 
 
 def test_fuse_sum_four_copies():
     rng = np.random.default_rng(1)
     v = t64(rng.standard_normal((2, 3, 4)))
-    assert np.allclose(fuse_sum([v, v, v, v]).data, 4.0 * v.data)
+    assert np.allclose(branch_sum([v, v, v, v]).data, 4.0 * v.data)
 
 
 def test_fuse_sum_is_order_invariant():
     rng = np.random.default_rng(2)
     maps = rand_maps(rng, 4)
-    a = fuse_sum(maps).data
-    b = fuse_sum(maps[::-1]).data
+    a = branch_sum(maps).data
+    b = branch_sum(maps[::-1]).data
     assert np.allclose(a, b)
 
 
 def test_fuse_sum_shape_mismatch_errors():
     with pytest.raises(ShapeError):
-        fuse_sum([t64(np.zeros((2, 2, 3))), t64(np.zeros((2, 2, 4)))])
+        branch_sum([t64(np.zeros((2, 2, 3))), t64(np.zeros((2, 2, 4)))])
+
+
+def test_stack_branches_layout_and_shape_errors():
+    rng = np.random.default_rng(3)
+    maps = rand_maps(rng, 3, shape=(2, 2, 3, 4))
+    stacked = stack_branches(maps)
+    assert stacked.shape == (3, 2, 2, 3, 4)
+    for m, f in enumerate(maps):
+        assert np.array_equal(stacked.data[m], f.data)
+    with pytest.raises(ShapeError):
+        stack_branches([])
+    with pytest.raises(ShapeError):
+        stack_branches([t64(np.zeros((2, 2, 3))), t64(np.zeros((2, 3, 3)))])
 
 
 # -- pooling -------------------------------------------------------------------
@@ -160,7 +177,7 @@ def test_selective_combine_one_hot_selects_branch():
     maps = rand_maps(rng, 4, shape=(2, 2, 3))
     weights = np.zeros((3, 4))
     weights[:, 1] = 1.0
-    out = selective_combine(maps, t64(weights))
+    out = selective_combine(stack_branches(maps), t64(weights))
     assert np.allclose(out.data, maps[1].data)
 
 
@@ -168,7 +185,7 @@ def test_selective_combine_uniform_weights_identical_maps():
     rng = np.random.default_rng(8)
     v = t64(rng.standard_normal((2, 2, 4)))
     weights = t64(np.full((4, 3), 1.0 / 3.0))
-    out = selective_combine([v, v, v], weights)
+    out = selective_combine(stack_branches([v, v, v]), weights)
     assert np.allclose(out.data, v.data)
 
 
@@ -177,7 +194,7 @@ def test_selective_combine_matches_weighted_sum_oracle():
     maps = rand_maps(rng, 3, shape=(2, 2, 2))
     raw = rng.uniform(0.0, 1.0, (2, 3))
     raw /= raw.sum(axis=-1, keepdims=True)
-    got = selective_combine(maps, t64(raw)).data
+    got = selective_combine(stack_branches(maps), t64(raw)).data
     want = np.zeros((2, 2, 2))
     for i in range(2):
         for j in range(2):
@@ -202,9 +219,9 @@ def test_selective_combine_stays_in_convex_hull():
 def test_selective_combine_mismatch_errors():
     maps = rand_maps(np.random.default_rng(11), 2, shape=(2, 2, 3))
     with pytest.raises(ShapeError):
-        selective_combine(maps, t64(np.full((3, 3), 1 / 3)))
+        selective_combine(stack_branches(maps), t64(np.full((3, 3), 1 / 3)))
     with pytest.raises(ShapeError):
-        selective_combine(maps, t64(np.full((4, 2), 0.5)))
+        selective_combine(stack_branches(maps), t64(np.full((4, 2), 0.5)))
 
 
 # -- assembled module -----------------------------------------------------------------
@@ -232,10 +249,10 @@ def test_selective_k1_equals_composition_of_stage_ops():
     fusion = SelectiveFusion(8, n=4, kernel_size=1, rng=rng, dtype=np.float64)
     maps = rand_maps(rng, 4)
     got = selective_module(maps, fusion).data
-    fused = fuse_sum(maps)
+    fused = branch_sum(maps)
     pooled = pool_global(fused, "average")
     weights = fusion.selective_weights(pooled)
-    want = selective_combine(maps, weights).data
+    want = selective_combine(stack_branches(maps), weights).data
     assert np.abs(got - want).max() < 1e-12
 
 
@@ -273,6 +290,62 @@ def test_selective_module_strategy_count_must_match():
     fusion = SelectiveFusion(8, n=4, dtype=np.float64)
     with pytest.raises(ShapeError):
         selective_module(rand_maps(np.random.default_rng(17), 3), fusion)
+
+
+def test_elementwise_max_splits_tied_gradient_evenly():
+    rng = np.random.default_rng(18)
+    v = rng.standard_normal((2, 3, 4))
+    maps = [Tensor(x, requires_grad=True) for x in (v, v, v, v - 1.0)]
+    fusion = SelectiveFusion(4, n=4, dtype=np.float64, mode="elementwise-max")
+    reduce_sum(selective_module(maps, fusion)).backward()
+    for tied in maps[:3]:
+        assert np.array_equal(tied.grad, np.full(v.shape, 1.0 / 3.0))
+    assert np.array_equal(maps[3].grad, np.zeros(v.shape))
+
+
+def list_based_selective_module(maps, params, rng=None, training=False):
+    """selective_module with the branches kept as a python list: pairwise
+    max / add chains and one sliced weight column per branch."""
+    if params.mode == "elementwise-max":
+        acc = maps[0]
+        for f in maps[1:]:
+            acc = maximum(acc, f)
+        return acc
+    fused = maps[0]
+    for f in maps[1:]:
+        fused = add(fused, f)
+    if params.mode == "elementwise-average":
+        return fused / float(len(maps))
+    smoothed = conv2d(fused, params.pre_pool_kernel, padding="same", groups=params.channels)
+    weights = params.selective_weights(pool_global(smoothed, params.pooling, rng=rng, training=training))
+    lead, c = weights.shape[:-2], weights.shape[-2]
+    acc = None
+    for m, f in enumerate(maps):
+        key = [slice(None)] * weights.ndim
+        key[-1] = slice(m, m + 1)
+        term = mul(reshape(slice_(weights, tuple(key)), (*lead, 1, 1, c)), f)
+        acc = term if acc is None else add(acc, term)
+    return acc
+
+
+@pytest.mark.parametrize("mode", ["selective", "elementwise-max", "elementwise-average"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_selective_module_matches_list_based_path(mode, n):
+    runs = []
+    for aggregate in (selective_module, list_based_selective_module):
+        rng = np.random.default_rng(19 + n)
+        fusion = SelectiveFusion(8, n=n, mode=mode, pooling="stochastic", rng=rng, dtype=np.float64)
+        maps = [Tensor(rng.standard_normal((2, 3, 3, 8)), requires_grad=True) for _ in range(n)]
+        out = aggregate(maps, fusion, rng=np.random.default_rng(5), training=True)
+        reduce_sum(mul(out, t64(rng.standard_normal(out.shape)))).backward()
+        runs.append((out.data, [f.grad for f in maps] + [p.grad for p in fusion.parameters()]))
+    (out, grads), (want_out, want_grads) = runs
+    assert np.array_equal(out, want_out)
+    for got, want in zip(grads, want_grads):
+        if want is None:  # fusion parameters are unused by the elementwise modes
+            assert got is None
+        else:
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 def test_fusion_configuration_validation():
