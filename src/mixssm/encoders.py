@@ -107,29 +107,53 @@ def linear_scan(decay: Tensor, x: Tensor) -> Tensor:
     """Inclusive scan of h_t = decay_t * h_{t-1} + x_t with h_0 = 0.
 
     Operands are (..., T, C, N); time is the third axis from the end.
-    Computed in log2(T) doubling rounds of vectorized ops instead of a
-    T-step python loop; the reassociated products match the sequential
-    recurrence up to roundoff.
+    Computed by an odd-even (work-efficient) scan of vectorized ops instead
+    of a T-step python loop: adjacent steps are combined in pairs, the
+    half-length sequence is scanned recursively, and the even steps are
+    filled in from it.  The work and the tape stay O(T); the reassociated
+    products match the sequential recurrence up to roundoff.
     """
     if decay.shape != x.shape or x.ndim < 3:
         raise ShapeError(
             f"linear_scan: needs equal (..., T, C, N) shapes, got {decay.shape} and {x.shape}"
         )
-    axis = x.ndim - 3
-    t = x.shape[axis]
-    a, b = decay, x
-    step = 1
-    while step < t:
-        head_shape = list(a.shape)
-        head_shape[axis] = step
-        ones_head = Tensor(np.ones(head_shape, dtype=a.dtype))
-        zeros_head = Tensor(np.zeros(head_shape, dtype=a.dtype))
-        a_prev = concat([ones_head, _take(a, axis, 0, t - step)], axis)
-        b_prev = concat([zeros_head, _take(b, axis, 0, t - step)], axis)
-        b = add(b, mul(a, b_prev))
-        a = mul(a, a_prev)
-        step *= 2
-    return b
+    return _odd_even_scan(decay, x, x.ndim - 3)
+
+
+def _odd_even_scan(a: Tensor, b: Tensor, axis: int) -> Tensor:
+    """Scan of h_t = a_t * h_{t-1} + b_t along ``axis``; the result has b's shape.
+
+    The operands may carry a singleton axis right after time (the pair axis
+    of the level above); the pair reshape folds it away.
+    """
+    t = b.shape[axis]
+    if t <= 1:
+        return b
+    lead = b.shape[:axis]
+    if t % 2:
+        # one identity step (a=1, b=0) at the end makes T even; it is sliced off again
+        pad_shape = (*lead, 1, *b.shape[axis + 1:])
+        a = concat([a, Tensor(np.ones(pad_shape, dtype=a.dtype))], axis)
+        padded = concat([b, Tensor(np.zeros(pad_shape, dtype=b.dtype))], axis)
+        return _take(_odd_even_scan(a, padded, axis), axis, 0, t)
+    half = t // 2
+    pair_shape = (*lead, half, 2, *b.shape[-2:])
+    a_pairs, b_pairs = reshape(a, pair_shape), reshape(b, pair_shape)
+    # (..., half, 1, C, N): the first and the second step of each pair
+    a1 = _take(a_pairs, axis + 1, 1)
+    b0, b1 = _take(b_pairs, axis + 1, 0), _take(b_pairs, axis + 1, 1)
+    odd_b = add(mul(a1, b0), b1)
+    if half == 1:
+        # the only odd step is the pair itself; the even step has no predecessor
+        h_even, h_odd = b0, odd_b
+    else:
+        a0 = _take(a_pairs, axis + 1, 0)
+        h_odd = _odd_even_scan(mul(a1, a0), odd_b, axis)
+        # each even step continues from the odd step before it (h = 0 before the first)
+        zero = Tensor(np.zeros((*lead, 1, *h_odd.shape[axis + 1:]), dtype=b.dtype))
+        before = concat([zero, _take(h_odd, axis, 0, half - 1)], axis)
+        h_even = add(mul(a0, before), b0)
+    return reshape(concat([h_even, h_odd], axis + 1), b.shape)
 
 
 def selective_scan(u: Tensor, params: "SsmBranch") -> Tensor:

@@ -111,7 +111,7 @@ class Tensor:
         if dtype not in _FLOAT_DTYPES:
             raise TypeError(f"tensor dtype must be float32 or float64, got {dtype}")
         arr = np.ascontiguousarray(data, dtype=dtype)
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericsError("tensor created from non-finite values")
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -236,7 +236,7 @@ class Tensor:
 
 
 def _result(op: str, out: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise NumericsError(f"{op} produced non-finite values (overflow or domain error)")
     t = Tensor.__new__(Tensor)
     t.data = out

@@ -85,7 +85,7 @@ class Adam:
         self.t += 1
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 raise NumericsError(f"non-finite gradient in optimizer step {self.t}")
             self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
             self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)

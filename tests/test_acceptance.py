@@ -114,7 +114,7 @@ def brute_force_metrics(preds, labels, k):
 def test_criterion_2_oracle_equivalence():
     rng = np.random.default_rng(2024)
 
-    # parallel/blocked scan vs naive sequential recurrence, production precision
+    # odd-even scan vs naive sequential recurrence, production precision
     scan_worst = 0.0
     for _ in range(50):
         t_len = int(rng.integers(1, 65))

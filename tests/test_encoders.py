@@ -16,6 +16,7 @@ from mixssm.encoders import (
     selective_scan,
 )
 from mixssm.errors import ConfigError, ShapeError
+from mixssm.gradcheck import finite_diff_check
 from mixssm.tensor import (
     Tensor,
     add,
@@ -260,6 +261,95 @@ def test_linear_scan_unit_decay_is_prefix_sum():
     u = rng.standard_normal((9, 1, 1))
     h = linear_scan(t64(np.ones_like(u)), t64(u)).data
     assert np.allclose(h[:, 0, 0], np.cumsum(u[:, 0, 0]), atol=1e-12)
+
+
+def doubling_scan(decay, x):
+    """The log2(T)-round doubling scan that the odd-even scan replaced (reference only)."""
+    axis = x.ndim - 3
+    t = x.shape[axis]
+
+    def take(v, stop):
+        key = [slice(None)] * v.ndim
+        key[axis] = slice(0, stop)
+        return slice_(v, tuple(key))
+
+    a, b = decay, x
+    step = 1
+    while step < t:
+        head_shape = list(a.shape)
+        head_shape[axis] = step
+        ones_head = Tensor(np.ones(head_shape, dtype=a.dtype))
+        zeros_head = Tensor(np.zeros(head_shape, dtype=a.dtype))
+        a_prev = concat([ones_head, take(a, t - step)], axis)
+        b_prev = concat([zeros_head, take(b, t - step)], axis)
+        b = add(b, mul(a, b_prev))
+        a = mul(a, a_prev)
+        step *= 2
+    return b
+
+
+def sequential_scan(decay, x):
+    """h_t = decay_t * h_{t-1} + x_t, one time step at a time, in float64."""
+    h = np.zeros(x.shape[:-3] + x.shape[-2:])
+    out = np.zeros(x.shape)
+    for t in range(x.shape[-3]):
+        h = decay[..., t, :, :] * h + x[..., t, :, :]
+        out[..., t, :, :] = h
+    return out
+
+
+def scan_operands(rng, t, dtype):
+    """(B, 4, T, C, N) decays exp(-r), r in [1e-3, 0.8] (dt * rate at init), and drives."""
+    shape = (2, 4, t, 3, 2)
+    decay = np.exp(-rng.uniform(1e-3, 0.8, shape)).astype(dtype)
+    drive = (0.1 * rng.standard_normal(shape)).astype(dtype)
+    return decay, drive
+
+
+# every T up to 70 (odd T at every recursion depth) and the paper's stage lengths,
+# which reach the odd length 49 six levels down
+SCAN_LENGTHS = list(range(71)) + [196, 784, 3136]
+
+
+@pytest.mark.parametrize("t", SCAN_LENGTHS)
+def test_linear_scan_matches_doubling_reference_and_sequential_loop(t):
+    rng = np.random.default_rng(1000 + t)
+    decay, drive = scan_operands(rng, t, np.float64)
+    got = linear_scan(t64(decay), t64(drive))
+    assert got.shape == drive.shape and got.dtype == np.float64
+    if t:
+        assert np.abs(got.data - doubling_scan(t64(decay), t64(drive)).data).max() < 1e-12
+        assert np.abs(got.data - sequential_scan(decay, drive)).max() < 1e-12
+
+    decay32, drive32 = scan_operands(rng, t, np.float32)
+    got32 = linear_scan(Tensor(decay32), Tensor(drive32))
+    assert got32.shape == drive32.shape and got32.dtype == np.float32
+    if t:
+        oracle = sequential_scan(decay32.astype(np.float64), drive32.astype(np.float64))
+        assert np.abs(got32.data - oracle).max() < 1e-5
+
+
+@pytest.mark.parametrize("t", [1, 2, 3, 5, 7, 16, 49])
+def test_linear_scan_gradients_match_finite_differences(t):
+    rng = np.random.default_rng(2000 + t)
+    shape = (t, 2, 3)
+    decay = t64(np.exp(-rng.uniform(0.05, 1.0, shape)))
+    drive = rand64(rng, shape)
+    proj = rand64(rng, shape)
+    wrt_decay = finite_diff_check(lambda d: reduce_sum(mul(linear_scan(d, drive), proj)), decay)
+    wrt_drive = finite_diff_check(lambda x: reduce_sum(mul(linear_scan(decay, x), proj)), drive)
+    assert wrt_decay.passed, wrt_decay
+    assert wrt_drive.passed, wrt_drive
+
+
+def test_linear_scan_single_step_gives_decay_no_gradient():
+    # h_1 = x_1: the decay never enters the output, so backward leaves its grad absent
+    rng = np.random.default_rng(2100)
+    decay = Tensor(np.exp(-rng.uniform(0.05, 1.0, (1, 2, 3))), requires_grad=True)
+    drive = Tensor(rng.standard_normal((1, 2, 3)), requires_grad=True)
+    reduce_sum(linear_scan(decay, drive)).backward()
+    assert decay.grad is None
+    assert np.array_equal(drive.grad, np.ones((1, 2, 3)))
 
 
 def naive_selective_scan(u, p):
