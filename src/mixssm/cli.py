@@ -58,12 +58,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _thread_count(override: int | None) -> int:
     if override is not None:
-        return max(1, override)
-    raw = os.environ.get("MIXSSM_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ConfigError(f"MIXSSM_THREADS must be an integer, got {raw!r}") from exc
+        count, source = override, "--threads"
+    else:
+        raw = os.environ.get("MIXSSM_THREADS", "1")
+        try:
+            count, source = int(raw), "MIXSSM_THREADS"
+        except ValueError as exc:
+            raise ConfigError(f"MIXSSM_THREADS must be an integer, got {raw!r}") from exc
+    if count < 1:
+        raise ConfigError(f"{source} must be at least 1, got {count}")
+    return count
 
 
 def _resolve_run_config(args) -> RunConfig:

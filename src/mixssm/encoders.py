@@ -210,7 +210,7 @@ class ConvBranch(Module):
             raise ShapeError(
                 f"conv branch built for {self.weight.shape[2]} channels, input has {v.shape[-1]}"
             )
-        out = conv2d(v, self.weight, self.bias, padding="same")
+        out = conv2d(v, self.weight, self.bias)
         return _activation(self.act)(out)
 
 

@@ -196,6 +196,6 @@ def selective_module(
     fused = reduce_sum(stacked, axis=0)
     if mode == "elementwise-average":
         return fused / float(len(branch_outputs))
-    smoothed = conv2d(fused, params.pre_pool_kernel, padding="same", groups=params.channels)
+    smoothed = conv2d(fused, params.pre_pool_kernel, groups=params.channels)
     pooled = pool_global(smoothed, params.pooling, rng=rng, training=training)
     return selective_combine(stacked, params.selective_weights(pooled))

@@ -118,10 +118,13 @@ def gradient_suite(seed: int = 0, seeds: int = 5, step: float = 1e-3) -> dict[st
 
     Each of the four branches, the selective fusion module and one full
     mixing block is checked on a 4x4x8 input over ``seeds`` random seeds,
-    w.r.t. all of its parameters.  The step is larger than the primitive
+    w.r.t. all of its parameters; ``seeds`` below 1 raises ``ValueError``
+    instead of checking nothing.  The step is larger than the primitive
     checks use because deep components have near-zero gradient entries
     where central differences are cancellation-limited.
     """
+    if seeds < 1:
+        raise ValueError(f"seeds must be at least 1, got {seeds}")
     # imported here so the substrate module stays free of model dependencies
     from .encoders import AttentionBranch, ChannelMlpBranch, ConvBranch, SsmBranch
     from .fusion import SelectiveFusion, selective_module

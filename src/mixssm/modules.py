@@ -11,8 +11,9 @@ from .tensor import Tensor, layer_norm
 __all__ = ["Module", "LayerNorm", "trunc_normal"]
 
 
-def trunc_normal(rng: np.random.Generator, shape, std: float = 0.02, dtype=np.float32) -> np.ndarray:
-    """Normal(0, std) truncated to two standard deviations, by resampling."""
+def trunc_normal(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarray:
+    """Normal(0, 0.02) truncated to two standard deviations, by resampling."""
+    std = 0.02
     out = rng.normal(0.0, std, size=shape)
     bad = np.abs(out) > 2.0 * std
     while bad.any():
@@ -39,8 +40,6 @@ class Module:
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
                         yield from item.named_parameters(f"{prefix}{name}.{i}.")
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        yield f"{prefix}{name}.{i}", item
 
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
@@ -56,10 +55,9 @@ class Module:
 class LayerNorm(Module):
     """Channel-axis normalization with learnable scale and shift."""
 
-    def __init__(self, channels: int, dtype=np.float32, eps: float = 1e-5):
+    def __init__(self, channels: int, dtype=np.float32):
         self.gamma = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
         self.beta = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return layer_norm(x, self.gamma, self.beta)

@@ -18,7 +18,7 @@ from .encoders import AttentionBranch, ChannelMlpBranch, ConvBranch, SsmBranch
 from .errors import CheckpointError, ConfigError, ShapeError
 from .fusion import AGGREGATION_MODES, POOLING_METHODS, SelectiveFusion, selective_module
 from .modules import LayerNorm, Module, trunc_normal
-from .tensor import Tensor, add, conv2d, matmul, reduce_mean, reshape, softmax, transpose
+from .tensor import Tensor, add, matmul, reduce_mean, reshape, softmax, transpose
 
 __all__ = [
     "BRANCH_NAMES",
@@ -28,6 +28,7 @@ __all__ = [
     "MixSsmBlock",
     "PatchEmbed",
     "PatchMerging",
+    "space_to_depth",
     "save_checkpoint",
     "load_checkpoint",
     "config_to_dict",
@@ -183,8 +184,26 @@ def config_from_dict(data: dict) -> ModelConfig:
     return ModelConfig(**data)
 
 
+def space_to_depth(x: Tensor, p: int) -> Tensor:
+    """Regroup (..., H, W, C) into its non-overlapping p x p patches,
+    (..., H/p, W/p, p*p*C), each flattened in (row in patch, column in patch,
+    channel) order.  Raises :class:`ShapeError` unless p divides H and W."""
+    *lead, h, w, c = x.shape
+    if h % p or w % p:
+        raise ShapeError(f"a {h}x{w} map does not split into {p}x{p} patches")
+    nl = len(lead)
+    grouped = reshape(x, (*lead, h // p, p, w // p, p, c))
+    perm = tuple(range(nl)) + (nl, nl + 2, nl + 1, nl + 3, nl + 4)
+    return reshape(transpose(grouped, perm), (*lead, h // p, w // p, p * p * c))
+
+
 class PatchEmbed(Module):
-    """Non-overlapping patch projection (a strided conv) plus layer norm."""
+    """Non-overlapping p x p patches, each projected to C channels, plus layer norm.
+
+    The projection is ``kernel`` (p, p, C_in, C) read as a (p*p*C_in, C)
+    matrix over :func:`space_to_depth` patches, so it equals a stride-p
+    convolution with that kernel and keeps its checkpoint layout.
+    """
 
     def __init__(self, patch_size: int, in_channels: int, channels: int, rng, dtype):
         self.kernel = Tensor(
@@ -196,11 +215,9 @@ class PatchEmbed(Module):
         self.patch_size = patch_size
 
     def __call__(self, x: Tensor) -> Tensor:
-        h, w = x.shape[-3], x.shape[-2]
-        if h % self.patch_size or w % self.patch_size:
-            raise ShapeError(f"image {h}x{w} is not divisible by patch size {self.patch_size}")
-        out = conv2d(x, self.kernel, self.bias, stride=self.patch_size, padding="valid")
-        return self.norm(out)
+        weight = reshape(self.kernel, (-1, self.kernel.shape[-1]))
+        patches = space_to_depth(x, self.patch_size)
+        return self.norm(add(matmul(patches, weight), self.bias))
 
 
 class PatchMerging(Module):
@@ -213,14 +230,7 @@ class PatchMerging(Module):
         )
 
     def __call__(self, x: Tensor) -> Tensor:
-        *lead, h, w, c = x.shape
-        if h % 2 or w % 2:
-            raise ShapeError(f"patch merging requires even spatial dims, got {h}x{w}")
-        nl = len(lead)
-        grouped = reshape(x, (*lead, h // 2, 2, w // 2, 2, c))
-        perm = tuple(range(nl)) + (nl, nl + 2, nl + 1, nl + 3, nl + 4)
-        neighbors = reshape(transpose(grouped, perm), (*lead, h // 2, w // 2, 4 * c))
-        return matmul(self.norm(neighbors), self.reduction)
+        return matmul(self.norm(space_to_depth(x, 2)), self.reduction)
 
 
 class MixSsmBlock(Module):
@@ -419,12 +429,13 @@ def _is_tensor_entry(entry) -> bool:
     )
 
 
-def load_checkpoint(path: str, model: Model | None = None) -> Model:
-    """Rebuild (or refill) a model from a checkpoint, bit-exactly.
+def load_checkpoint(path: str) -> Model:
+    """Rebuild a model from a checkpoint, bit-exactly.
 
     Every way the file can be malformed (unreadable, bad magic or version,
     a tensor directory with missing, non-integer, negative, out-of-bounds or
-    overlapping entries) raises :class:`CheckpointError`.
+    overlapping entries, payload bytes no entry covers, non-finite values)
+    raises :class:`CheckpointError`.
     """
     try:
         with open(path, "rb") as fh:
@@ -456,16 +467,14 @@ def load_checkpoint(path: str, model: Model | None = None) -> Model:
             "non-negative integer shape, offset and length"
         )
 
-    if model is None:
-        model = Model(config)
-    elif config_to_dict(model.config) != config_to_dict(config):
-        raise CheckpointError(f"{path}: checkpoint config does not match the target model")
-
+    model = Model(config)
     payload = body[header_len:]
     params = dict(model.named_parameters())
     if sorted(params) != sorted(e["name"] for e in entries):
         raise CheckpointError(f"{path}: tensor directory does not match the model parameters")
-    prev_name, prev_end = None, 0
+    # save_checkpoint writes the tensors back to back, so any gap, overlap or
+    # trailing byte means the file is corrupt
+    prev_end = 0
     for entry in sorted(entries, key=lambda e: e["offset"]):
         name, shape = entry["name"], tuple(entry["shape"])
         length, offset = entry["length"], entry["offset"]
@@ -476,18 +485,23 @@ def load_checkpoint(path: str, model: Model | None = None) -> Model:
             raise CheckpointError(
                 f"{path}: tensor {name} declares shape {shape} but length {length}"
             )
-        if offset < prev_end:
-            raise CheckpointError(f"{path}: tensors {prev_name} and {name} overlap in the payload")
+        if offset != prev_end:
+            raise CheckpointError(f"{path}: tensor {name} starts at payload byte {offset}, expected {prev_end}")
         end = offset + 4 * length
         if end > len(payload):
             raise CheckpointError(f"{path}: truncated payload for tensor {name}")
-        prev_name, prev_end = name, end
+        prev_end = end
         values = np.frombuffer(payload[offset:end], dtype="<f4").reshape(shape)
         target = params[name]
         if target.shape != shape:
             raise CheckpointError(
                 f"{path}: tensor {name} has shape {shape}, model expects {target.shape}"
             )
+        if not np.isfinite(values).all():
+            raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
         target.data = np.ascontiguousarray(values, dtype=model.dtype)
-        target.grad = None
+    if prev_end != len(payload):
+        raise CheckpointError(
+            f"{path}: {len(payload) - prev_end} payload bytes after the last tensor"
+        )
     return model

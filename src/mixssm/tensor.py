@@ -500,8 +500,9 @@ def gelu(x: Tensor) -> Tensor:
 # -- normalization and reductions ---------------------------------------------
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the trailing (channel) axis with learnable scale/shift."""
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Normalize over the trailing (channel) axis with learnable scale/shift;
+    the variance is offset by 1e-5."""
     _check_dtypes("layer_norm", x, gamma, beta)
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
@@ -511,7 +512,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     mean = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mean
     var = np.mean(centered * centered, axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat = centered * inv_std
     out = gamma.data * xhat + beta.data
     gamma_data = gamma.data
@@ -549,66 +550,52 @@ def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...]
     return np.broadcast_to(g, shape)
 
 
-def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(x: Tensor, axis=None) -> Tensor:
     axes = _normalize_axes(axis, x.ndim)
-    out = x.data.sum(axis=axes, keepdims=keepdims)
+    out = x.data.sum(axis=axes)
     x_shape = x.shape
 
     def backward(g):
-        if keepdims:
-            return (np.broadcast_to(g, x_shape),)
         return (_expand_reduced(g, x_shape, axes),)
 
     return _result("reduce_sum", out, (x,), backward)
 
 
-def reduce_mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_mean(x: Tensor, axis=None) -> Tensor:
     axes = _normalize_axes(axis, x.ndim)
     count = 1
     for ax in axes:
         count *= x.shape[ax]
-    out = x.data.mean(axis=axes, keepdims=keepdims)
+    out = x.data.mean(axis=axes)
     x_shape = x.shape
 
     def backward(g):
-        scaled = g / count
-        if keepdims:
-            return (np.broadcast_to(scaled, x_shape),)
-        return (_expand_reduced(scaled, x_shape, axes),)
+        return (_expand_reduced(g / count, x_shape, axes),)
 
     return _result("reduce_mean", out, (x,), backward)
 
 
-def reduce_max(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_max(x: Tensor, axis=None) -> Tensor:
     """Max reduction; the gradient splits evenly among tied maxima."""
     axes = _normalize_axes(axis, x.ndim)
     kept = x.data.max(axis=axes, keepdims=True)
-    out = kept if keepdims else kept.reshape(
-        tuple(d for ax, d in enumerate(x.shape) if ax not in axes)
-    )
-    x_data, x_shape = x.data, x.shape
+    out = kept.reshape(tuple(d for ax, d in enumerate(x.shape) if ax not in axes))
+    x_data = x.data
 
     def backward(g):
         mask = (x_data == kept).astype(x_data.dtype)
         ties = mask.sum(axis=axes, keepdims=True)
-        ge = np.broadcast_to(g, kept.shape) if keepdims else _expand_reduced(g, kept.shape, axes)
-        return (mask * (ge / ties),)
+        return (mask * (g.reshape(kept.shape) / ties),)
 
-    return _result("reduce_max", np.ascontiguousarray(out), (x,), backward)
+    return _result("reduce_max", out, (x,), backward)
 
 
-def conv2d(
-    x: Tensor,
-    w: Tensor,
-    b: Tensor | None = None,
-    stride: int = 1,
-    padding: str = "same",
-    groups: int = 1,
-) -> Tensor:
-    """2-D convolution over the two axes before the trailing channel axis.
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, groups: int = 1) -> Tensor:
+    """Stride-1 2-D convolution over the two axes before the trailing channel
+    axis, zero-padded so the output keeps the input's H x W.
 
-    ``x``: (..., H, W, C_in); ``w``: (kh, kw, C_in/groups, C_out);
-    zero padding, ``"same"`` (ceil(H/stride) output) or ``"valid"``.
+    ``x``: (..., H, W, C_in); ``w``: (kh, kw, C_in/groups, C_out).  An even
+    kernel side puts its extra row or column of padding after the map.
     ``groups`` is 1 (dense) or ``C_in == C_out`` (depthwise); any other
     value raises :class:`ShapeError`.
     """
@@ -618,12 +605,7 @@ def conv2d(
         raise ShapeError(f"conv2d: kernel must be 4-d (kh, kw, cin, cout), got {w.shape}")
     operands = (x, w) if b is None else (x, w, b)
     _check_dtypes("conv2d", *operands)
-    if stride < 1:
-        raise ShapeError(f"conv2d: stride must be positive, got {stride}")
-    if padding not in ("same", "valid"):
-        raise ShapeError(f"conv2d: unknown padding {padding!r}")
 
-    lead = x.shape[:-3]
     h, wdt, cin = x.shape[-3:]
     kh, kw, cin_g, cout = w.shape
     depthwise = groups == cin and cout == cin
@@ -638,29 +620,15 @@ def conv2d(
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {b.shape} does not match {cout} output channels")
 
-    if padding == "same":
-        oh = -(-h // stride)
-        ow = -(-wdt // stride)
-        pad_h = max((oh - 1) * stride + kh - h, 0)
-        pad_w = max((ow - 1) * stride + kw - wdt, 0)
-    else:
-        if h < kh or wdt < kw:
-            raise ShapeError(f"conv2d: kernel {kh}x{kw} larger than input {h}x{wdt}")
-        oh = (h - kh) // stride + 1
-        ow = (wdt - kw) // stride + 1
-        pad_h = pad_w = 0
-    pt, pl = pad_h // 2, pad_w // 2
-    pb, pr = pad_h - pt, pad_w - pl
-
+    pt, pl = (kh - 1) // 2, (kw - 1) // 2
     xb = x.data.reshape((-1, h, wdt, cin))
-    xp = np.pad(xb, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    xp = np.pad(xb, ((0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl), (0, 0)))
     w_data = w.data
 
     def tap(arr, m, n):
-        return arr[:, m : m + (oh - 1) * stride + 1 : stride,
-                   n : n + (ow - 1) * stride + 1 : stride, :]
+        return arr[:, m : m + h, n : n + wdt, :]
 
-    out = np.zeros((xb.shape[0], oh, ow, cout), dtype=x.dtype)
+    out = np.zeros((xb.shape[0], h, wdt, cout), dtype=x.dtype)
     if depthwise:
         for m in range(kh):
             for n in range(kw):
@@ -671,13 +639,12 @@ def conv2d(
                 out += tap(xp, m, n) @ w_data[m, n]
     if b is not None:
         out = out + b.data
-    out = out.reshape(lead + (oh, ow, cout))
-
     x_shape = x.shape
+    out = out.reshape(x_shape[:-1] + (cout,))
     has_bias = b is not None
 
     def backward(g):
-        gb4 = g.reshape((-1, oh, ow, cout))
+        gb4 = g.reshape((-1, h, wdt, cout))
         gxp = np.zeros_like(xp)
         gw = np.zeros_like(w_data)
         if depthwise:

@@ -68,30 +68,27 @@ def cross_entropy_loss(probs: Tensor, labels) -> Tensor:
 
 
 class Adam:
-    """Adam with bias correction (defaults beta1 0.9, beta2 0.999, eps 1e-8)."""
+    """Adam with bias correction: beta1 0.9, beta2 0.999, eps 1e-8."""
 
-    def __init__(self, params, lr: float = 5e-5, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params, lr: float = 5e-5):
         self.params: list[Tensor] = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
+        beta1, beta2 = 0.9, 0.999
         self.t += 1
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if not np.isfinite(g).all():
                 raise NumericsError(f"non-finite gradient in optimizer step {self.t}")
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / (1.0 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1.0 - self.beta2 ** self.t)
-            p.data = p.data - (self.lr * m_hat / (np.sqrt(v_hat) + self.eps)).astype(p.dtype)
+            self.m[i] = beta1 * self.m[i] + (1.0 - beta1) * g
+            self.v[i] = beta2 * self.v[i] + (1.0 - beta2) * (g * g)
+            m_hat = self.m[i] / (1.0 - beta1 ** self.t)
+            v_hat = self.v[i] / (1.0 - beta2 ** self.t)
+            p.data = p.data - (self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)).astype(p.dtype)
 
 
 def _pool_rng(model: Model, seed: int) -> np.random.Generator | None:

@@ -180,6 +180,14 @@ def test_gradcheck_zero_tolerance_exits_3(capsys):
     assert "failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seeds", ["0", "-2"])
+def test_gradcheck_without_seeds_exits_1(seeds, capsys):
+    assert main(["gradcheck", "--seeds", seeds]) == 1
+    captured = capsys.readouterr()
+    assert "PASS" not in captured.out
+    assert captured.err.startswith("error:") and "seeds" in captured.err
+
+
 # -- ablate / analyze ------------------------------------------------------------------
 
 
@@ -254,6 +262,19 @@ def test_worker_count_from_environment(workdir, monkeypatch):
     assert code == 1
 
 
+def test_worker_count_below_one_exits_1(workdir, monkeypatch, capsys):
+    out = str(workdir["root"] / "no_workers.csv")
+    sweep = ["analyze", "--config", workdir["config"], "--data", workdir["data"],
+             "--sweep", "aggregation", "--out", out, "--epochs", "1"]
+    assert main([*sweep, "--threads", "0"]) == 1
+    assert "--threads" in capsys.readouterr().err
+    monkeypatch.setenv("MIXSSM_THREADS", "0")
+    assert main(sweep) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "MIXSSM_THREADS" in err
+    assert not os.path.exists(out)
+
+
 # -- synth / inspect ---------------------------------------------------------------------
 
 
@@ -306,14 +327,13 @@ def test_inspect_counts_sum_to_total(workdir, tmp_path, capsys):
     assert total == sum(counts.values()) == Model(ablated).parameter_count()
 
 
-def _rewrite_header(src, dst, mutate):
+def _rewrite(src, dst, mutate_header, mutate_payload=lambda payload: payload):
     blob = open(src, "rb").read()
     header_len = int.from_bytes(blob[8:16], "little")
-    header = mutate(json.loads(blob[16 : 16 + header_len].decode()))
+    header = mutate_header(json.loads(blob[16 : 16 + header_len].decode()))
     new_header = json.dumps(header).encode()
-    open(dst, "wb").write(
-        blob[:8] + len(new_header).to_bytes(8, "little") + new_header + blob[16 + header_len :]
-    )
+    payload = mutate_payload(blob[16 + header_len :])
+    open(dst, "wb").write(blob[:8] + len(new_header).to_bytes(8, "little") + new_header + payload)
 
 
 def _set_entry(index, key, value):
@@ -328,6 +348,12 @@ def _shared_offset(header):
     return header
 
 
+def _shift_offsets(header):
+    for entry in header["tensors"]:
+        entry["offset"] += 4
+    return header
+
+
 MALFORMED_HEADERS = {
     "header_is_list": lambda header: [header],
     "entry_is_int": lambda header: {**header, "tensors": [7] + header["tensors"][1:]},
@@ -337,23 +363,45 @@ MALFORMED_HEADERS = {
     "shared_offset": _shared_offset,
     "seed_is_string": lambda header: {**header, "config": {**header["config"], "seed": "x"}},
 }
+# (header mutation, payload mutation): payload bytes that no tensor covers
+MALFORMED_PAYLOADS = {
+    "gap_before_first_tensor": (_shift_offsets, lambda payload: bytes(4) + payload),
+    "trailing_bytes": (lambda header: header, lambda payload: payload + bytes(4)),
+}
 
 
-@pytest.mark.parametrize("case", [*MALFORMED_HEADERS, "directory"])
+@pytest.mark.parametrize("case", [*MALFORMED_HEADERS, *MALFORMED_PAYLOADS, "directory"])
 def test_malformed_checkpoint_raises_checkpoint_error_and_exits_1(case, tmp_path, capsys):
     ckpt = str(tmp_path / "model.ckpt")
     save_checkpoint(Model(micro_model_config()), ckpt)
+    bad = str(tmp_path / "bad.ckpt")
     if case == "directory":
         bad = str(tmp_path)
+    elif case in MALFORMED_PAYLOADS:
+        _rewrite(ckpt, bad, *MALFORMED_PAYLOADS[case])
     else:
-        bad = str(tmp_path / "bad.ckpt")
-        _rewrite_header(ckpt, bad, MALFORMED_HEADERS[case])
+        _rewrite(ckpt, bad, MALFORMED_HEADERS[case])
     with pytest.raises(CheckpointError):
         load_checkpoint(bad)
     capsys.readouterr()
     assert main(["inspect", "--ckpt", bad]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_checkpoint_value_exits_1(value, workdir, tmp_path, capsys):
+    model = Model(micro_model_config())
+    model.patch_embed.kernel.data.flat[5] = value
+    bad = str(tmp_path / "non_finite.ckpt")
+    save_checkpoint(model, bad)
+    with pytest.raises(CheckpointError, match="patch_embed.kernel"):
+        load_checkpoint(bad)
+    capsys.readouterr()
+    for command in (["inspect", "--ckpt", bad], ["eval", "--ckpt", bad, "--data", workdir["data"]]):
+        assert main(command) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite" in err and "Traceback" not in err
 
 
 # -- config round trip ----------------------------------------------------------------------

@@ -316,7 +316,7 @@ def list_based_selective_module(maps, params, rng=None, training=False):
         fused = add(fused, f)
     if params.mode == "elementwise-average":
         return fused / float(len(maps))
-    smoothed = conv2d(fused, params.pre_pool_kernel, padding="same", groups=params.channels)
+    smoothed = conv2d(fused, params.pre_pool_kernel, groups=params.channels)
     weights = params.selective_weights(pool_global(smoothed, params.pooling, rng=rng, training=training))
     lead, c = weights.shape[:-2], weights.shape[-2]
     acc = None

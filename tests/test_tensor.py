@@ -188,8 +188,6 @@ PRIMITIVE_CASES = [
      lambda x, c: conv2d(c((4, 4, 3)), x, c((2,)))),
     ("conv2d_bias", lambda rng: rng.standard_normal(2),
      lambda x, c: conv2d(c((4, 4, 3)), c((3, 3, 3, 2)), x)),
-    ("conv2d_strided_valid", lambda rng: rng.standard_normal((6, 6, 2)),
-     lambda x, c: conv2d(x, c((2, 2, 2, 3)), stride=2, padding="valid")),
     ("conv2d_depthwise", lambda rng: rng.standard_normal((4, 4, 3)),
      lambda x, c: conv2d(x, c((3, 3, 1, 3)), groups=3)),
     ("reshape", lambda rng: rng.standard_normal((3, 4)),
