@@ -32,11 +32,14 @@ print("output stays inside the branch envelope:", inside)
 
 # The non-adaptive baselines replace the whole module.
 for mode in ("elementwise-max", "elementwise-average"):
-    alt = selective_module(maps, SelectiveFusion(C, n=n, mode=mode))
+    alt = selective_module(maps, SelectiveFusion(C, n=n, mode=mode, rng=rng))
     print(f"{mode:20s} -> {alt.shape}")
 
-# Pooling variants for the descriptor; stochastic pooling needs an explicit
-# random stream while training and is an expectation at evaluation time.
+# Pooling variants for the descriptor.  Stochastic pooling samples one
+# position per channel when it is given a random stream (as training does)
+# and takes the expectation without one (as evaluation does).
 for method in ("average", "max", "l2", "stochastic"):
     g = pool_global(fused, method)
     print(f"pool {method:10s} first channels: {np.round(g.data[:4], 3)}")
+sampled = pool_global(fused, "stochastic", rng=np.random.default_rng(0))
+print(f"pool stochastic, sampled: {np.round(sampled.data[:4], 3)}")

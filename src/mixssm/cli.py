@@ -243,7 +243,7 @@ def cmd_synth(args) -> int:
 
 def cmd_inspect(args) -> int:
     model = load_checkpoint(args.ckpt)
-    print(json.dumps({"config": dataclasses.asdict(model.config)}, default=list, indent=2))
+    print(json.dumps({"config": dataclasses.asdict(model.config)}, indent=2))
     groups = {
         "patch_embed": 0, "ssm_branch": 0, "conv_branch": 0, "mlp_branch": 0,
         "msa_branch": 0, "fusion": 0, "patch_merging": 0, "norms": 0, "head": 0,

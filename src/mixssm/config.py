@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .network import ModelConfig, check_field_types, config_from_dict, config_to_dict
+from .network import ModelConfig, check_field_types, config_from_dict
 
 __all__ = ["RunConfig", "parse_config", "emit_config", "load_config_file"]
 
@@ -57,7 +57,7 @@ def parse_config(text: str) -> RunConfig:
 
 def emit_config(config: RunConfig) -> str:
     """Canonical textual form; stable field order and formatting."""
-    payload = dict(config_to_dict(config.model))
+    payload = dataclasses.asdict(config.model)
     payload.update(
         epochs=config.epochs,
         batch_size=config.batch_size,

@@ -187,20 +187,18 @@ def selective_scan(u: Tensor, params: "SsmBranch") -> Tensor:
 
 
 class ConvBranch(Module):
-    """Shape-preserving SAME convolution (Eq.-style kernel layout kh,kw,cin,cout)."""
+    """Shape-preserving SAME 3x3 convolution (kernel layout kh,kw,cin,cout) plus activation."""
 
     def __init__(
         self,
         channels: int,
-        kernel_size: int = 3,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
         dtype=np.float32,
         activation: str = "gelu",
     ):
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.weight = Tensor(
-            trunc_normal(rng, (kernel_size, kernel_size, channels, channels), dtype=dtype),
-            requires_grad=True,
+            trunc_normal(rng, (3, 3, channels, channels), dtype=dtype), requires_grad=True
         )
         self.bias = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
         self.act = activation
@@ -221,12 +219,12 @@ class AttentionBranch(Module):
         self,
         channels: int,
         heads: int,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
         dtype=np.float32,
     ):
         if heads < 1 or channels % heads:
             raise ConfigError(f"heads={heads} must divide channels={channels}")
-        rng = rng if rng is not None else np.random.default_rng(0)
         head_dim = channels // heads
         self.heads = heads
         self.head_dim = head_dim
@@ -266,23 +264,15 @@ class AttentionBranch(Module):
 class ChannelMlpBranch(Module):
     """Per-position channel mixer: C -> 2C -> C, pure channel mixing."""
 
-    def __init__(
-        self,
-        channels: int,
-        rng: np.random.Generator | None = None,
-        dtype=np.float32,
-        activation: str = "gelu",
-    ):
-        rng = rng if rng is not None else np.random.default_rng(0)
+    def __init__(self, channels: int, *, rng: np.random.Generator, dtype=np.float32):
         hidden = 2 * channels
         self.w1 = Tensor(trunc_normal(rng, (channels, hidden), dtype=dtype), requires_grad=True)
         self.b1 = Tensor(np.zeros(hidden, dtype=dtype), requires_grad=True)
         self.w2 = Tensor(trunc_normal(rng, (hidden, channels), dtype=dtype), requires_grad=True)
         self.b2 = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
-        self.act = activation
 
     def __call__(self, v: Tensor) -> Tensor:
-        h = _activation(self.act)(add(matmul(v, self.w1), self.b1))
+        h = gelu(add(matmul(v, self.w1), self.b1))
         return add(matmul(h, self.w2), self.b2)
 
 
@@ -300,12 +290,12 @@ class SsmBranch(Module):
         channels: int,
         state_dim: int = 8,
         shared_directions: bool = True,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
         dtype=np.float32,
     ):
         if state_dim < 1:
             raise ConfigError(f"state_dim must be >= 1, got {state_dim}")
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.state_dim = state_dim
         self.shared_directions = shared_directions
 

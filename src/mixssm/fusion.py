@@ -57,19 +57,15 @@ def stack_branches(branch_outputs: list[Tensor]) -> Tensor:
     return concat([reshape(f, (1, *shape)) for f in branch_outputs], axis=0)
 
 
-def pool_global(
-    f: Tensor,
-    method: str = "average",
-    rng: np.random.Generator | None = None,
-    training: bool = False,
-) -> Tensor:
+def pool_global(f: Tensor, method: str = "average", rng: np.random.Generator | None = None) -> Tensor:
     """Pool (..., H, W, C) down to (..., C).
 
     ``average`` is the spatial mean; ``max`` the spatial maximum; ``l2`` the
-    root of the spatial mean of squares.  ``stochastic`` samples one position
-    per channel with probability proportional to the softmax of the spatial
-    activations when ``training`` (from the explicitly passed ``rng``), and
-    returns the probability-weighted expectation otherwise.
+    root of the spatial mean of squares.  ``stochastic`` weights the positions
+    of each channel by the softmax of its spatial activations: given an
+    ``rng`` it samples one position per channel from those probabilities,
+    without one it returns the probability-weighted expectation.  The other
+    methods ignore ``rng``.
     """
     if f.ndim < 3:
         raise ShapeError(f"pool_global expects (..., H, W, C), got {f.shape}")
@@ -83,10 +79,8 @@ def pool_global(
         *lead, h, w, c = f.shape
         flat = reshape(f, (*lead, h * w, c))
         probs = softmax(flat, axis=-2)
-        if not training:
-            return reduce_sum(mul(probs, flat), axis=-2)
         if rng is None:
-            raise ValueError("stochastic pooling in training mode needs an explicit rng")
+            return reduce_sum(mul(probs, flat), axis=-2)
         p = probs.data
         cum = np.cumsum(p, axis=-2)
         draw = rng.random(size=(*lead, 1, c))
@@ -130,7 +124,8 @@ class SelectiveFusion(Module):
         kernel_size: int = 3,
         pooling: str = "average",
         mode: str = "selective",
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
         dtype=np.float32,
     ):
         if n < 1:
@@ -143,7 +138,6 @@ class SelectiveFusion(Module):
             raise ConfigError(f"unknown pooling {pooling!r}; expected one of {POOLING_METHODS}")
         if mode not in AGGREGATION_MODES:
             raise ConfigError(f"unknown aggregation {mode!r}; expected one of {AGGREGATION_MODES}")
-        rng = rng if rng is not None else np.random.default_rng(0)
         self.n = n
         self.channels = channels
         self.pooling = pooling
@@ -180,12 +174,13 @@ def selective_module(
     branch_outputs: list[Tensor],
     params: SelectiveFusion,
     rng: np.random.Generator | None = None,
-    training: bool = False,
 ) -> Tensor:
-    """Aggregate branch maps by the mode ``params`` was built with."""
+    """Aggregate branch maps by the mode ``params`` was built with.
+
+    ``rng`` reaches only stochastic pooling: with it the pooled descriptor is
+    a sample, without it the expectation (see :func:`pool_global`).
+    """
     mode = params.mode
-    if mode not in AGGREGATION_MODES:
-        raise ValueError(f"unknown aggregation mode {mode!r}; expected one of {AGGREGATION_MODES}")
     if mode == "selective" and len(branch_outputs) != params.n:
         raise ShapeError(
             f"fusion built for {params.n} strategies, got {len(branch_outputs)} branch outputs"
@@ -197,5 +192,5 @@ def selective_module(
     if mode == "elementwise-average":
         return fused / float(len(branch_outputs))
     smoothed = conv2d(fused, params.pre_pool_kernel, groups=params.channels)
-    pooled = pool_global(smoothed, params.pooling, rng=rng, training=training)
+    pooled = pool_global(smoothed, params.pooling, rng=rng)
     return selective_combine(stacked, params.selective_weights(pooled))

@@ -56,23 +56,22 @@ def finite_diff_check(
     :func:`check_parameter_gradients` for the loop and the error measure.
     """
     probe = Tensor(x.data.copy(), requires_grad=True, dtype=x.dtype)
-    report, _ = check_parameter_gradients(lambda: f(probe), [("x", probe)], step, tolerance)
-    return report
+    return check_parameter_gradients(lambda: f(probe), [probe], step, tolerance)
 
 
 def check_parameter_gradients(
     loss_fn: Callable[[], Tensor],
-    params: Sequence[tuple[str, Tensor]],
+    params: Sequence[Tensor],
     step: float = 1e-4,
     tolerance: float = 1e-3,
-) -> tuple[GradCheckReport, dict[str, float]]:
+) -> GradCheckReport:
     """Finite-difference check of ``loss_fn`` w.r.t. a set of live parameters.
 
     Parameters are perturbed in place and restored; the analytic side comes
     from one backward pass.  ``loss_fn`` must be deterministic; two baseline
     evaluations that disagree raise ``ValueError``.  Relative error per
-    component uses the denominator max(|analytic|, |numeric|, 1e-8).  Returns
-    the overall report plus the max relative error per parameter name.
+    component uses the denominator max(|analytic|, |numeric|, 1e-8); the
+    report carries the largest over all parameters.
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
@@ -83,16 +82,15 @@ def check_parameter_gradients(
     if y0 != y1:
         raise ValueError(f"loss_fn is not deterministic: {y0} != {y1}")
 
-    for _, p in params:
+    for p in params:
         p.grad = None
     loss = loss_fn()
     _scalar(loss)
     loss.backward()
 
-    per_param: dict[str, float] = {}
     worst = 0.0
     with no_grad():
-        for name, p in params:
+        for p in params:
             analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
             numeric = np.zeros_like(p.data)
             flat_p = p.data.reshape(-1)
@@ -105,23 +103,20 @@ def check_parameter_gradients(
                 lo = _scalar(loss_fn())
                 flat_p[i] = orig
                 flat_n[i] = (hi - lo) / (2.0 * step)
-            err = _rel_error(analytic, numeric)
-            per_param[name] = err
-            worst = max(worst, err)
+            worst = max(worst, _rel_error(analytic, numeric))
 
-    report = GradCheckReport(max_rel_error=worst, tolerance=tolerance, passed=worst <= tolerance)
-    return report, per_param
+    return GradCheckReport(max_rel_error=worst, tolerance=tolerance, passed=worst <= tolerance)
 
 
-def gradient_suite(seed: int = 0, seeds: int = 5, step: float = 1e-3) -> dict[str, float]:
+def gradient_suite(seed: int = 0, seeds: int = 5) -> dict[str, float]:
     """Max relative gradient error per component, double precision.
 
     Each of the four branches, the selective fusion module and one full
     mixing block is checked on a 4x4x8 input over ``seeds`` random seeds,
     w.r.t. all of its parameters; ``seeds`` below 1 raises ``ValueError``
-    instead of checking nothing.  The step is larger than the primitive
-    checks use because deep components have near-zero gradient entries
-    where central differences are cancellation-limited.
+    instead of checking nothing.  The step, 1e-3, is larger than the
+    primitive checks use because deep components have near-zero gradient
+    entries where central differences are cancellation-limited.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be at least 1, got {seeds}")
@@ -142,9 +137,7 @@ def gradient_suite(seed: int = 0, seeds: int = 5, step: float = 1e-3) -> dict[st
             x = Tensor(rng.standard_normal((4, 4, channels)), dtype=np.float64)
             proj = Tensor(rng.standard_normal(forward(x).shape), dtype=np.float64)
             loss_fn = lambda: reduce_sum(mul(forward(x), proj))  # noqa: B023
-            report, _ = check_parameter_gradients(
-                loss_fn, list(component.named_parameters()), step=step
-            )
+            report = check_parameter_gradients(loss_fn, component.parameters(), step=1e-3)
             worst = max(worst, report.max_rel_error)
         results[name] = worst
 

@@ -31,7 +31,6 @@ __all__ = [
     "space_to_depth",
     "save_checkpoint",
     "load_checkpoint",
-    "config_to_dict",
     "config_from_dict",
 ]
 
@@ -152,9 +151,9 @@ def check_field_types(config) -> None:
             raise ConfigError(f"{f.name} must be {want}, got {value!r}")
 
 
-def desk_config(num_classes: int = 4, seed: int = 0, **overrides) -> ModelConfig:
+def desk_config(num_classes: int = 4, seed: int = 0) -> ModelConfig:
     """Laptop-scale configuration used by the smoke runs and sweeps."""
-    base = dict(
+    return ModelConfig(
         input_size=(32, 32),
         depths=(1, 1, 2, 1),
         channels=(16, 32, 64, 128),
@@ -162,18 +161,6 @@ def desk_config(num_classes: int = 4, seed: int = 0, **overrides) -> ModelConfig
         num_classes=num_classes,
         seed=seed,
     )
-    base.update(overrides)
-    return ModelConfig(**base)
-
-
-def config_to_dict(config: ModelConfig) -> dict:
-    out = dataclasses.asdict(config)
-    out["input_size"] = list(config.input_size)
-    out["depths"] = list(config.depths)
-    out["channels"] = list(config.channels)
-    out["heads"] = list(config.heads)
-    out["branches"] = list(config.branches)
-    return out
 
 
 def config_from_dict(data: dict) -> ModelConfig:
@@ -287,14 +274,10 @@ class MixSsmBlock(Module):
             dtype=dtype,
         )
 
-    def branch_modules(self) -> list[tuple[str, Module]]:
-        return [(name, getattr(self, name)) for name in self.branch_order]
-
-    def __call__(self, v: Tensor, rng=None, training: bool = False) -> Tensor:
+    def __call__(self, v: Tensor, rng=None) -> Tensor:
         u = self.norm(v)
-        outputs = [branch(u) for _, branch in self.branch_modules()]
-        fused = selective_module(outputs, self.fusion, rng=rng, training=training)
-        return add(v, fused)
+        outputs = [getattr(self, name)(u) for name in self.branch_order]
+        return add(v, selective_module(outputs, self.fusion, rng=rng))
 
 
 class Stage(Module):
@@ -302,21 +285,20 @@ class Stage(Module):
         self.blocks = blocks
         self.merge = merge
 
-    def __call__(self, x: Tensor, rng=None, training: bool = False) -> Tensor:
+    def __call__(self, x: Tensor, rng=None) -> Tensor:
         for block in self.blocks:
-            x = block(x, rng=rng, training=training)
+            x = block(x, rng=rng)
         if self.merge is not None:
             x = self.merge(x)
         return x
 
 
 class Model(Module):
-    """The assembled classifier."""
+    """The assembled classifier, in float32."""
 
-    def __init__(self, config: ModelConfig, dtype=np.float32):
-        config.validate()
+    def __init__(self, config: ModelConfig):
         self.config = config
-        self.dtype = np.dtype(dtype)
+        self.dtype = np.dtype(np.float32)
         rng = np.random.default_rng(np.random.SeedSequence(config.seed))
 
         self.patch_embed = PatchEmbed(
@@ -364,15 +346,16 @@ class Model(Module):
             images = Tensor(images.data.astype(self.dtype), requires_grad=images.requires_grad)
         return images
 
-    def forward_features(self, images: Tensor, rng=None, training: bool = False) -> Tensor:
+    def forward_classify(self, images: Tensor, rng=None) -> Tensor:
+        """Class probability vector(s): (..., num_classes), rows sum to one.
+
+        ``rng`` is used only by stochastic pooling, which samples with it and
+        takes the expectation without it; every other model is deterministic
+        and ignores it.
+        """
         x = self.patch_embed(self._check_input(images))
         for stage in self.stages:
-            x = stage(x, rng=rng, training=training)
-        return x
-
-    def forward_classify(self, images: Tensor, rng=None, training: bool = False) -> Tensor:
-        """Class probability vector(s): (..., num_classes), rows sum to one."""
-        x = self.forward_features(images, rng=rng, training=training)
+            x = stage(x, rng=rng)
         x = self.final_norm(x)
         pooled = reduce_mean(x, axis=(-3, -2))
         lead = pooled.shape[:-1]
@@ -400,7 +383,7 @@ def save_checkpoint(model: Model, path: str) -> None:
     header = json.dumps(
         {
             "version": CHECKPOINT_VERSION,
-            "config": config_to_dict(model.config),
+            "config": dataclasses.asdict(model.config),
             "tensors": entries,
         },
         sort_keys=True,

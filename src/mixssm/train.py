@@ -22,6 +22,7 @@ __all__ = [
 ]
 
 LOG_CLAMP = 1e-12
+EVAL_BATCH = 32
 
 
 @dataclass
@@ -70,7 +71,7 @@ def cross_entropy_loss(probs: Tensor, labels) -> Tensor:
 class Adam:
     """Adam with bias correction: beta1 0.9, beta2 0.999, eps 1e-8."""
 
-    def __init__(self, params, lr: float = 5e-5):
+    def __init__(self, params, lr: float):
         self.params: list[Tensor] = list(params)
         self.lr = lr
         self.t = 0
@@ -91,21 +92,18 @@ class Adam:
             p.data = p.data - (self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)).astype(p.dtype)
 
 
-def _pool_rng(model: Model, seed: int) -> np.random.Generator | None:
-    if model.config.pooling == "stochastic":
-        return np.random.default_rng(np.random.SeedSequence([seed, 0xB00C]))
-    return None
-
-
 def train(
     model: Model,
     dataset: Dataset,
-    epochs: int = 10,
-    batch_size: int = 32,
-    lr: float = 5e-5,
-    seed: int = 0,
+    epochs: int,
+    batch_size: int,
+    lr: float,
+    seed: int,
 ) -> tuple[Model, list[EpochRecord]]:
     """Seeded-shuffle minibatch training; deterministic at a fixed seed.
+
+    Stochastic pooling samples from a generator seeded by ``seed``; the
+    other pooling methods ignore it.
 
     A non-finite loss or gradient aborts with the offending epoch/batch in
     the error message.
@@ -118,7 +116,7 @@ def train(
         )
     optimizer = Adam(model.parameters(), lr=lr)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
-    pool_rng = _pool_rng(model, seed)
+    pool_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB00C]))
     records: list[EpochRecord] = []
     n = len(dataset)
     for epoch in range(epochs):
@@ -130,7 +128,7 @@ def train(
             images = Tensor(dataset.images[idx].astype(model.dtype))
             labels = dataset.labels[idx]
             try:
-                probs = model.forward_classify(images, rng=pool_rng, training=True)
+                probs = model.forward_classify(images, rng=pool_rng)
                 loss = cross_entropy_loss(probs, labels)
                 model.zero_grad()
                 loss.backward()
@@ -184,8 +182,9 @@ def metrics_from_predictions(
     )
 
 
-def evaluate(model: Model, dataset: Dataset, batch_size: int = 32) -> Metrics:
-    """Deterministic evaluation (stochastic pooling runs in expectation mode)."""
+def evaluate(model: Model, dataset: Dataset) -> Metrics:
+    """Deterministic evaluation in batches of ``EVAL_BATCH`` (stochastic
+    pooling takes its expectation: no generator is passed)."""
     if len(dataset) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     if dataset.num_classes != model.config.num_classes:
@@ -194,8 +193,8 @@ def evaluate(model: Model, dataset: Dataset, batch_size: int = 32) -> Metrics:
         )
     preds = []
     with no_grad():
-        for start in range(0, len(dataset), batch_size):
-            images = Tensor(dataset.images[start : start + batch_size].astype(model.dtype))
+        for start in range(0, len(dataset), EVAL_BATCH):
+            images = Tensor(dataset.images[start : start + EVAL_BATCH].astype(model.dtype))
             probs = model.forward_classify(images)
             preds.append(np.argmax(probs.data, axis=-1))
     predictions = np.concatenate(preds)

@@ -129,7 +129,7 @@ def test_criterion_2_oracle_equivalence():
 
     conv_worst = 0.0
     for _ in range(5):
-        branch = ConvBranch(2, dtype=np.float64, activation="identity")
+        branch = ConvBranch(2, rng=np.random.default_rng(0), dtype=np.float64, activation="identity")
         branch.weight.data = rng.standard_normal((3, 3, 2, 2))
         branch.bias.data = rng.standard_normal(2)
         x = rng.standard_normal((5, 5, 2))

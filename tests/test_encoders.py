@@ -21,7 +21,9 @@ from mixssm.tensor import (
     Tensor,
     add,
     concat,
+    conv2d,
     flip,
+    gelu,
     matmul,
     mul,
     reduce_sum,
@@ -42,26 +44,26 @@ def rand64(rng, shape):
 # -- conv branch ----------------------------------------------------------------
 
 
-def identity_conv(channels, kernel_size=3):
-    branch = ConvBranch(channels, kernel_size=kernel_size, dtype=np.float64, activation="identity")
-    w = np.zeros((kernel_size, kernel_size, channels, channels))
-    mid = kernel_size // 2
-    for c in range(channels):
-        w[mid, mid, c, c] = 1.0
-    branch.weight.data = w
-    branch.bias.data = np.zeros(channels)
-    return branch
+def identity_kernel(size, channels):
+    """A size x size kernel whose center tap is the channel identity."""
+    w = np.zeros((size, size, channels, channels))
+    w[size // 2, size // 2] = np.eye(channels)
+    return w
 
 
 def test_conv_branch_identity_kernel():
     rng = np.random.default_rng(0)
-    branch = identity_conv(3, kernel_size=1)
+    branch = ConvBranch(3, rng=np.random.default_rng(0), dtype=np.float64, activation="identity")
+    branch.weight.data = identity_kernel(3, 3)
+    branch.bias.data = np.zeros(3)
     v = rand64(rng, (5, 4, 3))
     assert np.array_equal(branch(v).data, v.data)
+    # the same holds for a 1x1 kernel
+    assert np.array_equal(conv2d(v, t64(identity_kernel(1, 3))).data, v.data)
 
 
 def test_conv_branch_bias_only():
-    branch = ConvBranch(2, dtype=np.float64, activation="identity")
+    branch = ConvBranch(2, rng=np.random.default_rng(0), dtype=np.float64, activation="identity")
     branch.weight.data = np.zeros_like(branch.weight.data)
     branch.bias.data = np.array([5.0, -1.0])
     out = branch(t64(np.random.default_rng(1).standard_normal((3, 3, 2))))
@@ -90,7 +92,7 @@ def five_loop_conv_same(x, w, b):
 
 def test_conv_branch_matches_nested_loop_oracle():
     rng = np.random.default_rng(2)
-    branch = ConvBranch(2, dtype=np.float64, activation="identity")
+    branch = ConvBranch(2, rng=np.random.default_rng(0), dtype=np.float64, activation="identity")
     branch.weight.data = rng.standard_normal((3, 3, 2, 2))
     branch.bias.data = rng.standard_normal(2)
     x = rng.standard_normal((5, 5, 2))
@@ -100,15 +102,20 @@ def test_conv_branch_matches_nested_loop_oracle():
 
 
 def test_conv_branch_channel_mismatch_errors():
-    branch = ConvBranch(4, dtype=np.float64)
+    branch = ConvBranch(4, rng=np.random.default_rng(0), dtype=np.float64)
     with pytest.raises(ShapeError):
         branch(t64(np.zeros((3, 3, 2))))
 
 
 def test_conv_branch_1x1_kernel_commutes_with_spatial_permutation():
+    # the conv branch's convolution plus activation, with a 1x1 kernel
     rng = np.random.default_rng(18)
-    branch = ConvBranch(3, kernel_size=1, rng=rng, dtype=np.float64)
-    branch.weight.data = rng.standard_normal((1, 1, 3, 3))
+    weight = t64(rng.standard_normal((1, 1, 3, 3)))
+    bias = t64(np.zeros(3))
+
+    def branch(x):
+        return gelu(conv2d(x, weight, bias))
+
     v = rng.standard_normal((2, 4, 3))
     perm = rng.permutation(8)
     out = branch(t64(v)).data.reshape(8, 3)
@@ -169,14 +176,14 @@ def test_attention_rows_sum_to_one():
 
 def test_attention_head_count_must_divide_channels():
     with pytest.raises(ConfigError):
-        AttentionBranch(6, heads=4)
+        AttentionBranch(6, heads=4, rng=np.random.default_rng(0))
 
 
 # -- channel MLP branch -------------------------------------------------------------
 
 
 def test_mlp_zero_input_zero_biases_gives_zero():
-    branch = ChannelMlpBranch(3, dtype=np.float64)
+    branch = ChannelMlpBranch(3, rng=np.random.default_rng(0), dtype=np.float64)
     out = branch(t64(np.zeros((2, 2, 3))))
     assert np.array_equal(out.data, np.zeros((2, 2, 3)))
 
@@ -410,7 +417,7 @@ def test_ssm_branch_transpose_symmetry_with_shared_directions():
 
 
 def test_ssm_branch_zero_input_zero_output():
-    branch = SsmBranch(4, state_dim=2, dtype=np.float64)
+    branch = SsmBranch(4, state_dim=2, rng=np.random.default_rng(0), dtype=np.float64)
     out = branch(t64(np.zeros((3, 2, 4))))
     assert np.allclose(out.data, 0.0, atol=1e-300)
 
@@ -465,7 +472,7 @@ def test_ssm_branch_matches_list_based_path_bitwise(shared):
 
 def test_state_dim_must_be_positive():
     with pytest.raises(ConfigError):
-        SsmBranch(4, state_dim=0)
+        SsmBranch(4, state_dim=0, rng=np.random.default_rng(0))
 
 
 # -- shared shape contract ---------------------------------------------------------------

@@ -88,22 +88,24 @@ def test_pool_formulas_on_documented_example():
 
 def test_stochastic_pool_expectation_on_uniform_map_is_average():
     f = t64(np.full((4, 4, 3), 1.5))
-    got = pool_global(f, "stochastic", training=False).data
+    got = pool_global(f, "stochastic").data
     assert np.allclose(got, pool_global(f, "average").data)
 
 
 def test_stochastic_pool_training_draws_from_passed_stream():
     rng = np.random.default_rng(3)
     f = t64(rng.standard_normal((4, 4, 2)))
-    a = pool_global(f, "stochastic", rng=np.random.default_rng(7), training=True).data
-    b = pool_global(f, "stochastic", rng=np.random.default_rng(7), training=True).data
+    a = pool_global(f, "stochastic", rng=np.random.default_rng(7)).data
+    b = pool_global(f, "stochastic", rng=np.random.default_rng(7)).data
     assert np.array_equal(a, b)
     # every pooled value is one of the spatial activations of its channel
     flat = f.data.reshape(16, 2)
     for c in range(2):
         assert a[c] in flat[:, c]
-    with pytest.raises(ValueError, match="rng"):
-        pool_global(f, "stochastic", training=True)
+    # without a stream it is the softmax-weighted expectation
+    e = np.exp(flat - flat.max(axis=0))
+    probs = e / e.sum(axis=0)
+    assert np.allclose(pool_global(f, "stochastic").data, (probs * flat).sum(axis=0), atol=1e-12)
 
 
 def test_pool_unknown_method_errors():
@@ -115,7 +117,7 @@ def test_pool_unknown_method_errors():
 
 
 def zeroed_fusion(channels=8, n=4, **kw):
-    fusion = SelectiveFusion(channels, n=n, dtype=np.float64, **kw)
+    fusion = SelectiveFusion(channels, n=n, rng=np.random.default_rng(0), dtype=np.float64, **kw)
     fusion.w1.data = np.zeros_like(fusion.w1.data)
     fusion.w2.data = np.zeros_like(fusion.w2.data)
     return fusion
@@ -230,7 +232,7 @@ def test_selective_combine_mismatch_errors():
 def test_elementwise_average_of_identical_maps():
     rng = np.random.default_rng(12)
     v = t64(rng.standard_normal((2, 3, 4)))
-    fusion = SelectiveFusion(4, n=3, dtype=np.float64, mode="elementwise-average")
+    fusion = SelectiveFusion(4, n=3, mode="elementwise-average", rng=rng, dtype=np.float64)
     out = selective_module([v, v, v], fusion)
     assert np.allclose(out.data, v.data)
 
@@ -239,7 +241,7 @@ def test_elementwise_max_dominates_shifted_copy():
     rng = np.random.default_rng(13)
     v = t64(rng.standard_normal((2, 3, 4)))
     lower = t64(v.data - 1.0)
-    fusion = SelectiveFusion(4, n=2, dtype=np.float64, mode="elementwise-max")
+    fusion = SelectiveFusion(4, n=2, mode="elementwise-max", rng=rng, dtype=np.float64)
     out = selective_module([v, lower], fusion)
     assert np.allclose(out.data, v.data)
 
@@ -287,7 +289,7 @@ def test_selective_module_permutation_invariance():
 
 
 def test_selective_module_strategy_count_must_match():
-    fusion = SelectiveFusion(8, n=4, dtype=np.float64)
+    fusion = SelectiveFusion(8, n=4, rng=np.random.default_rng(0), dtype=np.float64)
     with pytest.raises(ShapeError):
         selective_module(rand_maps(np.random.default_rng(17), 3), fusion)
 
@@ -296,14 +298,14 @@ def test_elementwise_max_splits_tied_gradient_evenly():
     rng = np.random.default_rng(18)
     v = rng.standard_normal((2, 3, 4))
     maps = [Tensor(x, requires_grad=True) for x in (v, v, v, v - 1.0)]
-    fusion = SelectiveFusion(4, n=4, dtype=np.float64, mode="elementwise-max")
+    fusion = SelectiveFusion(4, n=4, mode="elementwise-max", rng=rng, dtype=np.float64)
     reduce_sum(selective_module(maps, fusion)).backward()
     for tied in maps[:3]:
         assert np.array_equal(tied.grad, np.full(v.shape, 1.0 / 3.0))
     assert np.array_equal(maps[3].grad, np.zeros(v.shape))
 
 
-def list_based_selective_module(maps, params, rng=None, training=False):
+def list_based_selective_module(maps, params, rng=None):
     """selective_module with the branches kept as a python list: pairwise
     max / add chains and one sliced weight column per branch."""
     if params.mode == "elementwise-max":
@@ -317,7 +319,7 @@ def list_based_selective_module(maps, params, rng=None, training=False):
     if params.mode == "elementwise-average":
         return fused / float(len(maps))
     smoothed = conv2d(fused, params.pre_pool_kernel, groups=params.channels)
-    weights = params.selective_weights(pool_global(smoothed, params.pooling, rng=rng, training=training))
+    weights = params.selective_weights(pool_global(smoothed, params.pooling, rng=rng))
     lead, c = weights.shape[:-2], weights.shape[-2]
     acc = None
     for m, f in enumerate(maps):
@@ -336,7 +338,7 @@ def test_selective_module_matches_list_based_path(mode, n):
         rng = np.random.default_rng(19 + n)
         fusion = SelectiveFusion(8, n=n, mode=mode, pooling="stochastic", rng=rng, dtype=np.float64)
         maps = [Tensor(rng.standard_normal((2, 3, 3, 8)), requires_grad=True) for _ in range(n)]
-        out = aggregate(maps, fusion, rng=np.random.default_rng(5), training=True)
+        out = aggregate(maps, fusion, rng=np.random.default_rng(5))
         reduce_sum(mul(out, t64(rng.standard_normal(out.shape)))).backward()
         runs.append((out.data, [f.grad for f in maps] + [p.grad for p in fusion.parameters()]))
     (out, grads), (want_out, want_grads) = runs
@@ -349,13 +351,14 @@ def test_selective_module_matches_list_based_path(mode, n):
 
 
 def test_fusion_configuration_validation():
+    rng = np.random.default_rng(0)
     with pytest.raises(ConfigError):
-        SelectiveFusion(8, n=0)
+        SelectiveFusion(8, n=0, rng=rng)
     with pytest.raises(ConfigError):
-        SelectiveFusion(8, n=4, reduction=3)
+        SelectiveFusion(8, n=4, reduction=3, rng=rng)
     with pytest.raises(ConfigError):
-        SelectiveFusion(8, n=4, kernel_size=2)
+        SelectiveFusion(8, n=4, kernel_size=2, rng=rng)
     with pytest.raises(ConfigError):
-        SelectiveFusion(8, n=4, pooling="median")
+        SelectiveFusion(8, n=4, pooling="median", rng=rng)
     with pytest.raises(ConfigError):
-        SelectiveFusion(8, n=4, mode="geometric")
+        SelectiveFusion(8, n=4, mode="geometric", rng=rng)

@@ -226,6 +226,22 @@ def test_forward_is_bitwise_repeatable():
     assert np.argmax(a) == np.argmax(b)
 
 
+def test_stochastic_pooling_samples_only_when_given_an_rng():
+    model = Model(micro_config(pooling="stochastic", seed=5))
+    rng = np.random.default_rng(15)
+    img = Tensor(rng.standard_normal((2, 16, 16, 3)).astype(np.float32))
+    with no_grad():
+        expected = model.forward_classify(img).data.copy()
+        again = model.forward_classify(img).data.copy()
+        first = model.forward_classify(img, rng=np.random.default_rng(8)).data.copy()
+        second = model.forward_classify(img, rng=np.random.default_rng(8)).data.copy()
+    # without an rng: the expectation, bitwise repeatable
+    assert np.array_equal(expected, again)
+    # equally seeded rngs draw the same sample, which is not the expectation
+    assert np.array_equal(first, second)
+    assert not np.array_equal(first, expected)
+
+
 def test_input_size_mismatch_names_expected_and_actual():
     model = Model(micro_config())
     with pytest.raises(ShapeError, match="16, 16"):
@@ -254,7 +270,7 @@ def test_config_rejects_bad_geometry():
     with pytest.raises(ConfigError):
         micro_config(kernel_size=4)
     with pytest.raises(ConfigError):
-        desk_config(num_classes=4, input_size=(8, 8))  # embedded grid not divisible
+        dataclasses.replace(desk_config(), input_size=(8, 8))  # embedded grid not divisible
 
 
 # -- checkpoints ------------------------------------------------------------------------

@@ -123,7 +123,7 @@ def test_adam_three_steps_match_reference_recurrence():
 
 def test_adam_aborts_on_non_finite_gradient():
     p = Tensor(np.array([1.0], dtype=np.float64), requires_grad=True)
-    opt = Adam([p])
+    opt = Adam([p], lr=5e-5)
     p.grad = np.array([np.inf])
     with pytest.raises(NumericsError):
         opt.step()
