@@ -26,7 +26,7 @@ with tempfile.TemporaryDirectory(prefix="mixssm_demo_") as workdir:
 
     # Four shape families over seeded noise textures, written as P6 PPM files.
     generate_synthetic(data_dir, classes=4, per_class=16, size=32, seed=0)
-    dataset = load_image_folder(data_dir, 32)
+    dataset = load_image_folder(data_dir, (32, 32))
     print(f"dataset: {len(dataset)} images, classes {dataset.class_names}")
 
     config = desk_config(num_classes=4, seed=0)

@@ -16,13 +16,11 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-import numpy as np
-
 from .config import RunConfig, emit_config, load_config_file
-from .data import generate_synthetic, load_image_folder
-from .errors import CheckpointError, ConfigError, DataError, NumericsError, ShapeError
+from .data import Dataset, generate_synthetic, load_image_folder
+from .errors import ConfigError, NumericsError
 from .gradcheck import gradient_suite
-from .network import Model, desk_config, load_checkpoint, save_checkpoint
+from .network import BRANCH_NAMES, Model, desk_config, load_checkpoint, save_checkpoint
 from .train import Metrics, evaluate, train
 
 __all__ = ["main", "ABLATION_VARIANTS", "ANALYSIS_SWEEPS"]
@@ -70,36 +68,27 @@ def _thread_count(override: int | None) -> int:
     return count
 
 
-def _resolve_run_config(args) -> RunConfig:
-    if args.config:
-        run = load_config_file(args.config)
-    else:
-        run = RunConfig(model=desk_config())
-    model = run.model
-    if getattr(args, "seed", None) is not None:
-        model = dataclasses.replace(model, seed=args.seed)
-    return dataclasses.replace(
+def _training_run(args) -> tuple[RunConfig, Dataset]:
+    """Run config and dataset of ``train``, ``ablate`` and ``analyze``.
+
+    The flags override the ``--config`` file, or the desk defaults without
+    one; then the model takes the data directory's class count, unless a
+    config file fixed it (a differing count is refused by :func:`train`).
+    """
+    run = load_config_file(args.config) if args.config else RunConfig(model=desk_config())
+    model = run.model if args.seed is None else dataclasses.replace(run.model, seed=args.seed)
+    run = dataclasses.replace(
         run,
         model=model,
-        epochs=args.epochs if getattr(args, "epochs", None) is not None else run.epochs,
-        batch_size=args.batch_size
-        if getattr(args, "batch_size", None) is not None
-        else run.batch_size,
-        lr=args.lr if getattr(args, "lr", None) is not None else run.lr,
+        epochs=run.epochs if args.epochs is None else args.epochs,
+        batch_size=run.batch_size if args.batch_size is None else args.batch_size,
+        lr=run.lr if args.lr is None else args.lr,
     )
-
-
-def _load_training_data(run: RunConfig, data_dir: str, explicit_config: bool):
-    dataset = load_image_folder(data_dir, run.model.input_size)
-    if explicit_config:
-        if dataset.num_classes != run.model.num_classes:
-            raise ConfigError(
-                f"config expects {run.model.num_classes} classes, "
-                f"data directory has {dataset.num_classes}"
-            )
-        return run, dataset
-    model = dataclasses.replace(run.model, num_classes=dataset.num_classes)
-    return dataclasses.replace(run, model=model), dataset
+    dataset = load_image_folder(args.data, run.model.input_size)
+    if not args.config:
+        model = dataclasses.replace(run.model, num_classes=dataset.num_classes)
+        run = dataclasses.replace(run, model=model)
+    return run, dataset
 
 
 def _write_epoch_log(path: str, records) -> None:
@@ -127,8 +116,7 @@ def _run_sweep(args, settings, header: str) -> None:
     Writes one ``name,acc,f1`` CSV row per setting, in ``settings`` order,
     whatever the worker count.
     """
-    run = _resolve_run_config(args)
-    run, dataset = _load_training_data(run, args.data, explicit_config=bool(args.config))
+    run, dataset = _training_run(args)
     threads = _thread_count(args.threads)
 
     def runner(setting):
@@ -161,8 +149,7 @@ def _run_sweep(args, settings, header: str) -> None:
 
 
 def cmd_train(args) -> int:
-    run = _resolve_run_config(args)
-    run, dataset = _load_training_data(run, args.data, explicit_config=bool(args.config))
+    run, dataset = _training_run(args)
     model = Model(run.model)
     model, records = train(
         model,
@@ -183,11 +170,6 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.ckpt)
     dataset = load_image_folder(args.data, model.config.input_size)
-    if dataset.num_classes != model.config.num_classes:
-        raise ConfigError(
-            f"checkpoint expects {model.config.num_classes} classes, "
-            f"data directory has {dataset.num_classes}"
-        )
     metrics = evaluate(model, dataset)
     text = _format_metrics(metrics)
     if args.metrics_out:
@@ -244,34 +226,23 @@ def cmd_synth(args) -> int:
 def cmd_inspect(args) -> int:
     model = load_checkpoint(args.ckpt)
     print(json.dumps({"config": dataclasses.asdict(model.config)}, indent=2))
+    blocks = [block for stage in model.stages for block in stage.blocks]
+
+    def count(modules) -> int:
+        return sum(m.parameter_count() for m in modules if m is not None)
+
+    # each group sums whole modules of the tree; the total is counted separately
     groups = {
-        "patch_embed": 0, "ssm_branch": 0, "conv_branch": 0, "mlp_branch": 0,
-        "msa_branch": 0, "fusion": 0, "patch_merging": 0, "norms": 0, "head": 0,
+        "patch_embed": count([model.patch_embed]),
+        **{f"{name}_branch": count(getattr(b, name) for b in blocks) for name in BRANCH_NAMES},
+        "fusion": count(b.fusion for b in blocks),
+        "patch_merging": count(stage.merge for stage in model.stages),
+        "norms": count([*(b.norm for b in blocks), model.final_norm]),
+        "head": model.head_weight.size + model.head_bias.size,
     }
-    total = 0
-    for name, p in model.named_parameters():
-        total += p.size
-        if name.startswith("patch_embed."):
-            groups["patch_embed"] += p.size
-        elif ".ssm." in name:
-            groups["ssm_branch"] += p.size
-        elif ".conv." in name:
-            groups["conv_branch"] += p.size
-        elif ".mlp." in name:
-            groups["mlp_branch"] += p.size
-        elif ".msa." in name:
-            groups["msa_branch"] += p.size
-        elif ".fusion." in name:
-            groups["fusion"] += p.size
-        elif ".merge." in name:
-            groups["patch_merging"] += p.size
-        elif name.startswith("head_"):
-            groups["head"] += p.size
-        else:
-            groups["norms"] += p.size
-    for group, count in groups.items():
-        print(f"{group} {count}")
-    print(f"total {total}")
+    for group, size in groups.items():
+        print(f"{group} {size}")
+    print(f"total {model.parameter_count()}")
     return 0
 
 
@@ -349,10 +320,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, DataError, CheckpointError, ShapeError, OSError, ValueError) as exc:
+    except (_UsageError, OSError, ValueError) as exc:
+        # ConfigError, DataError, CheckpointError and ShapeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericsError as exc:

@@ -102,10 +102,12 @@ def write_ppm(path: str, img: np.ndarray) -> None:
 
 
 def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resample with half-pixel centers; identity when sizes match."""
+    """Bilinear resample with half-pixel centers, into a new array.
+
+    At equal sizes every output pixel takes weight 1 at its own source pixel
+    and 0 at the neighbour, so the result equals the input bitwise.
+    """
     h, w = img.shape[:2]
-    if (h, w) == (out_h, out_w):
-        return img.copy()
     ys = (np.arange(out_h) + 0.5) * (h / out_h) - 0.5
     xs = (np.arange(out_w) + 0.5) * (w / out_w) - 0.5
     y0 = np.clip(np.floor(ys), 0, h - 1).astype(np.int64)
@@ -123,14 +125,13 @@ def _normalize(img01: np.ndarray) -> np.ndarray:
     return ((img01 - 0.5) / 0.5).astype(np.float32)
 
 
-def load_image_folder(root: str, target_size: int | tuple[int, int]) -> Dataset:
-    """Load <root>/<class>/<file>.ppm into a normalized dataset.
+def load_image_folder(root: str, target_size: tuple[int, int]) -> Dataset:
+    """Load <root>/<class>/<file>.ppm into a normalized float32 dataset.
 
-    Pixels are scaled to [0, 1], bilinearly resized to ``target_size`` and
-    normalized to (x - 0.5) / 0.5 per channel.
+    Pixels are scaled to [0, 1], bilinearly resized to ``target_size``, an
+    (H, W) pair such as ``ModelConfig.input_size``, and normalized to
+    (x - 0.5) / 0.5 per channel.
     """
-    if isinstance(target_size, int):
-        target_size = (target_size, target_size)
     if not os.path.isdir(root):
         raise DataError(f"dataset root {root} is not a directory")
     class_names = sorted(

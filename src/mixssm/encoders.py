@@ -204,10 +204,6 @@ class ConvBranch(Module):
         self.act = activation
 
     def __call__(self, v: Tensor) -> Tensor:
-        if v.shape[-1] != self.weight.shape[2]:
-            raise ShapeError(
-                f"conv branch built for {self.weight.shape[2]} channels, input has {v.shape[-1]}"
-            )
         out = conv2d(v, self.weight, self.bias)
         return _activation(self.act)(out)
 

@@ -158,10 +158,9 @@ class SelectiveFusion(Module):
 
         The MLP output vector reshapes row-major, so logits for channel c
         occupy the block [c*n, (c+1)*n); softmax runs over that strategy
-        axis independently per channel.
+        axis independently per channel.  A descriptor of another width
+        fails the first reshape with :class:`ShapeError`.
         """
-        if g.shape[-1] != self.channels:
-            raise ShapeError(f"pooled descriptor has {g.shape[-1]} channels, expected {self.channels}")
         lead = g.shape[:-1]
         gm = reshape(g, (*lead, 1, self.channels))
         h = gelu(add(matmul(gm, self.w1), self.b1))
@@ -190,7 +189,7 @@ def selective_module(
         return reduce_max(stacked, axis=0)
     fused = reduce_sum(stacked, axis=0)
     if mode == "elementwise-average":
-        return fused / float(len(branch_outputs))
+        return mul(fused, Tensor(np.asarray(1.0 / len(branch_outputs), dtype=fused.dtype)))
     smoothed = conv2d(fused, params.pre_pool_kernel, groups=params.channels)
     pooled = pool_global(smoothed, params.pooling, rng=rng)
     return selective_combine(stacked, params.selective_weights(pooled))

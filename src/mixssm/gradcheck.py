@@ -126,56 +126,39 @@ def gradient_suite(seed: int = 0, seeds: int = 5) -> dict[str, float]:
     from .network import MixSsmBlock
     from .tensor import mul, reduce_sum
 
-    channels, heads, state_dim = 8, 2, 8
-    results: dict[str, float] = {}
+    channels, heads, state_dim, f64 = 8, 2, 8, np.float64
 
-    def probe(name: str, build):
+    def itself(module):
+        return module, module
+
+    def fusion(rng):
+        module = SelectiveFusion(channels, n=4, rng=rng, dtype=f64)
+        maps = [Tensor(rng.standard_normal((4, 4, channels)), dtype=f64) for _ in range(4)]
+        return module, lambda _x: selective_module(maps, module)
+
+    # (component, rng -> (module whose parameters are checked, forward)), in report order
+    components = (
+        ("conv_branch", lambda rng: itself(ConvBranch(channels, rng=rng, dtype=f64))),
+        ("msa_branch", lambda rng: itself(AttentionBranch(channels, heads, rng=rng, dtype=f64))),
+        ("mlp_branch", lambda rng: itself(ChannelMlpBranch(channels, rng=rng, dtype=f64))),
+        ("ssm_branch", lambda rng: itself(SsmBranch(channels, state_dim, rng=rng, dtype=f64))),
+        ("selective_module", fusion),
+        ("mix_ssm_block", lambda rng: itself(MixSsmBlock(
+            channels, heads, ("ssm", "conv", "mlp", "msa"), state_dim,
+            kernel_size=3, pooling="average", aggregation="selective",
+            reduction=4, ssm_shared_directions=True, rng=rng, dtype=f64,
+        ))),
+    )
+    results: dict[str, float] = {}
+    for name, build in components:
         worst = 0.0
         for offset in range(seeds):
             rng = np.random.default_rng(np.random.SeedSequence([seed + offset, 0xC0DE]))
             component, forward = build(rng)
-            x = Tensor(rng.standard_normal((4, 4, channels)), dtype=np.float64)
-            proj = Tensor(rng.standard_normal(forward(x).shape), dtype=np.float64)
+            x = Tensor(rng.standard_normal((4, 4, channels)), dtype=f64)
+            proj = Tensor(rng.standard_normal(forward(x).shape), dtype=f64)
             loss_fn = lambda: reduce_sum(mul(forward(x), proj))  # noqa: B023
             report = check_parameter_gradients(loss_fn, component.parameters(), step=1e-3)
             worst = max(worst, report.max_rel_error)
         results[name] = worst
-
-    def build_conv(rng):
-        branch = ConvBranch(channels, rng=rng, dtype=np.float64)
-        return branch, branch
-
-    def build_msa(rng):
-        branch = AttentionBranch(channels, heads, rng=rng, dtype=np.float64)
-        return branch, branch
-
-    def build_mlp(rng):
-        branch = ChannelMlpBranch(channels, rng=rng, dtype=np.float64)
-        return branch, branch
-
-    def build_ssm(rng):
-        branch = SsmBranch(channels, state_dim, rng=rng, dtype=np.float64)
-        return branch, branch
-
-    def build_fusion(rng):
-        fusion = SelectiveFusion(channels, n=4, rng=rng, dtype=np.float64)
-        maps = [
-            Tensor(rng.standard_normal((4, 4, channels)), dtype=np.float64) for _ in range(4)
-        ]
-        return fusion, lambda _x: selective_module(maps, fusion)
-
-    def build_block(rng):
-        block = MixSsmBlock(
-            channels, heads, ("ssm", "conv", "mlp", "msa"), state_dim,
-            kernel_size=3, pooling="average", aggregation="selective",
-            reduction=4, ssm_shared_directions=True, rng=rng, dtype=np.float64,
-        )
-        return block, block
-
-    probe("conv_branch", build_conv)
-    probe("msa_branch", build_msa)
-    probe("mlp_branch", build_mlp)
-    probe("ssm_branch", build_ssm)
-    probe("selective_module", build_fusion)
-    probe("mix_ssm_block", build_block)
     return results

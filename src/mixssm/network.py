@@ -241,9 +241,8 @@ class MixSsmBlock(Module):
         rng,
         dtype,
     ):
+        # with no branch enabled, SelectiveFusion(n=0) raises ConfigError
         self.branch_order = tuple(b for b in BRANCH_NAMES if b in branches)
-        if not self.branch_order:
-            raise ConfigError("a block needs at least one enabled branch")
         self.norm = LayerNorm(channels, dtype=dtype)
         self.ssm = (
             SsmBranch(channels, state_dim, ssm_shared_directions, rng=rng, dtype=dtype)
@@ -337,6 +336,8 @@ class Model(Module):
         self.head_bias = Tensor(np.zeros(config.num_classes, dtype=self.dtype), requires_grad=True)
 
     def _check_input(self, images: Tensor) -> Tensor:
+        """Check the trailing (H, W, C) and cast to the model's precision;
+        the one place an input is cast."""
         expected = (*self.config.input_size, self.config.in_channels)
         if images.shape[-3:] != expected:
             raise ShapeError(
@@ -348,6 +349,9 @@ class Model(Module):
 
     def forward_classify(self, images: Tensor, rng=None) -> Tensor:
         """Class probability vector(s): (..., num_classes), rows sum to one.
+
+        ``images`` is (..., H, W, C) in either precision; float64 input is
+        cast to float32 first.
 
         ``rng`` is used only by stochastic pooling, which samples with it and
         takes the expectation without it; every other model is deterministic

@@ -192,45 +192,6 @@ class Tensor:
                     held = grads.get(id(inp))
                     grads[id(inp)] = ig if held is None else held + ig
 
-    # -- operator sugar ---------------------------------------------------
-
-    def _coerce(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return other
-        if isinstance(other, (int, float)):
-            return Tensor(np.asarray(other, dtype=self.dtype))
-        raise TypeError(f"cannot operate on Tensor and {type(other).__name__}")
-
-    def __add__(self, other):
-        return add(self, self._coerce(other))
-
-    def __radd__(self, other):
-        return add(self._coerce(other), self)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return add(self, mul(other, Tensor(np.asarray(-1.0, dtype=self.dtype))))
-
-    def __rsub__(self, other):
-        return self._coerce(other).__sub__(self)
-
-    def __mul__(self, other):
-        return mul(self, self._coerce(other))
-
-    def __rmul__(self, other):
-        return mul(self._coerce(other), self)
-
-    def __neg__(self):
-        return mul(self, Tensor(np.asarray(-1.0, dtype=self.dtype)))
-
-    def __truediv__(self, other):
-        if not isinstance(other, (int, float)):
-            raise TypeError("tensor division is only supported by python scalars")
-        return mul(self, Tensor(np.asarray(1.0 / other, dtype=self.dtype)))
-
-    def __matmul__(self, other):
-        return matmul(self, self._coerce(other))
-
 
 # -- wiring helpers --------------------------------------------------------
 

@@ -65,7 +65,7 @@ def cross_entropy_loss(probs: Tensor, labels) -> Tensor:
     )
     picked = reduce_sum(mul(probs, Tensor(onehot)), axis=-1)
     clamped = maximum(picked, Tensor(np.asarray(LOG_CLAMP, dtype=probs.dtype)))
-    return -reduce_mean(log(clamped))
+    return mul(reduce_mean(log(clamped)), Tensor(np.asarray(-1.0, dtype=probs.dtype)))
 
 
 class Adam:
@@ -92,6 +92,15 @@ class Adam:
             p.data = p.data - (self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)).astype(p.dtype)
 
 
+def _check_dataset(model: Model, dataset: Dataset, verb: str) -> None:
+    if len(dataset) == 0:
+        raise ValueError(f"cannot {verb} on an empty dataset")
+    if dataset.num_classes != model.config.num_classes:
+        raise ValueError(
+            f"dataset has {dataset.num_classes} classes, model expects {model.config.num_classes}"
+        )
+
+
 def train(
     model: Model,
     dataset: Dataset,
@@ -103,17 +112,14 @@ def train(
     """Seeded-shuffle minibatch training; deterministic at a fixed seed.
 
     Stochastic pooling samples from a generator seeded by ``seed``; the
-    other pooling methods ignore it.
+    other pooling methods ignore it.  Images reach the model as stored; the
+    model casts them to its own precision.
 
-    A non-finite loss or gradient aborts with the offending epoch/batch in
-    the error message.
+    An empty dataset or one whose class count differs from the model's
+    raises ``ValueError``.  A non-finite loss or gradient aborts with the
+    offending epoch/batch in the error message.
     """
-    if len(dataset) == 0:
-        raise ValueError("cannot train on an empty dataset")
-    if dataset.num_classes != model.config.num_classes:
-        raise ValueError(
-            f"dataset has {dataset.num_classes} classes, model expects {model.config.num_classes}"
-        )
+    _check_dataset(model, dataset, "train")
     optimizer = Adam(model.parameters(), lr=lr)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5EED]))
     pool_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB00C]))
@@ -125,7 +131,7 @@ def train(
         correct = 0
         for batch_index, start in enumerate(range(0, n, batch_size)):
             idx = order[start : start + batch_size]
-            images = Tensor(dataset.images[idx].astype(model.dtype))
+            images = Tensor(dataset.images[idx])
             labels = dataset.labels[idx]
             try:
                 probs = model.forward_classify(images, rng=pool_rng)
@@ -184,17 +190,15 @@ def metrics_from_predictions(
 
 def evaluate(model: Model, dataset: Dataset) -> Metrics:
     """Deterministic evaluation in batches of ``EVAL_BATCH`` (stochastic
-    pooling takes its expectation: no generator is passed)."""
-    if len(dataset) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    if dataset.num_classes != model.config.num_classes:
-        raise ValueError(
-            f"dataset has {dataset.num_classes} classes, model expects {model.config.num_classes}"
-        )
+    pooling takes its expectation: no generator is passed).
+
+    Raises ``ValueError`` on the datasets :func:`train` refuses.
+    """
+    _check_dataset(model, dataset, "evaluate")
     preds = []
     with no_grad():
         for start in range(0, len(dataset), EVAL_BATCH):
-            images = Tensor(dataset.images[start : start + EVAL_BATCH].astype(model.dtype))
+            images = Tensor(dataset.images[start : start + EVAL_BATCH])
             probs = model.forward_classify(images)
             preds.append(np.argmax(probs.data, axis=-1))
     predictions = np.concatenate(preds)

@@ -37,7 +37,7 @@ MICRO = dict(
 def desk_data(tmp_path_factory):
     root = str(tmp_path_factory.mktemp("desk") / "synth")
     generate_synthetic(root, classes=4, per_class=16, size=32, seed=0)
-    return load_image_folder(root, 32)
+    return load_image_folder(root, (32, 32))
 
 
 @pytest.fixture(scope="module")
@@ -246,7 +246,7 @@ def test_criterion_6_ablation_harness(micro_data, tmp_path):
 
 
 def test_criterion_7_determinism(micro_data, tmp_path):
-    dataset = load_image_folder(micro_data, 16)
+    dataset = load_image_folder(micro_data, (16, 16))
     blobs, metrics = [], []
     for run in range(2):
         model = Model(ModelConfig(**MICRO))

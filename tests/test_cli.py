@@ -1,6 +1,7 @@
 """End-to-end CLI contract: flags, outputs, exit codes."""
 
 import csv
+import dataclasses
 import json
 import os
 
@@ -11,7 +12,9 @@ from mixssm.cli import ABLATION_VARIANTS, main
 from mixssm.config import emit_config, parse_config
 from mixssm.data import generate_synthetic
 from mixssm.errors import CheckpointError, ConfigError
-from mixssm.network import Model, ModelConfig, load_checkpoint, save_checkpoint
+from mixssm.network import (
+    BRANCH_NAMES, Model, ModelConfig, desk_config, load_checkpoint, save_checkpoint,
+)
 
 MICRO_CONFIG = {
     "input_size": [16, 16],
@@ -149,6 +152,18 @@ def test_eval_class_mismatch_exits_1(workdir, tmp_path, capsys):
     code = main(["eval", "--ckpt", str(workdir["root"] / "model.ckpt"), "--data", two])
     assert code == 1
     assert "classes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["train"], ["ablate"], ["analyze", "--sweep", "aggregation"]])
+def test_config_class_mismatch_exits_1(command, workdir, tmp_path, capsys):
+    two = str(tmp_path / "two")
+    generate_synthetic(two, classes=2, per_class=2, size=16, seed=1)
+    out = str(tmp_path / "out")
+    assert main([*command, "--config", workdir["config"], "--data", two, "--out", out,
+                 "--epochs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "classes" in err and "Traceback" not in err
+    assert not os.path.exists(out)
 
 
 def test_numerical_abort_exits_2(workdir, capsys):
@@ -325,6 +340,40 @@ def test_inspect_counts_sum_to_total(workdir, tmp_path, capsys):
     assert counts["ssm_branch"] > 0
     total = counts.pop("total")
     assert total == sum(counts.values()) == Model(ablated).parameter_count()
+
+
+def hand_summed_groups(model):
+    """Parameter counts per inspect group, summed from parameter names."""
+    groups = dict.fromkeys(["patch_embed", "ssm_branch", "conv_branch", "mlp_branch",
+                            "msa_branch", "fusion", "patch_merging", "norms", "head"], 0)
+    for name, p in model.named_parameters():
+        parts = name.split(".")
+        if parts[0] == "patch_embed":
+            group = "patch_embed"
+        elif parts[0].startswith("head_"):
+            group = "head"
+        elif parts[0] == "final_norm":
+            group = "norms"
+        elif parts[2] == "merge":  # stages.<i>.merge.<...>
+            group = "patch_merging"
+        else:  # stages.<i>.blocks.<j>.<module>.<...>
+            module = parts[4]
+            group = {"norm": "norms", "fusion": "fusion"}.get(module, f"{module}_branch")
+        groups[group] += p.size
+    return groups
+
+
+@pytest.mark.parametrize("branches", [BRANCH_NAMES, ("ssm", "mlp", "msa")], ids=["full", "no_conv"])
+def test_inspect_counts_equal_hand_summed_module_counts(branches, tmp_path, capsys):
+    model = Model(dataclasses.replace(desk_config(), branches=branches))
+    ckpt = str(tmp_path / "desk.ckpt")
+    save_checkpoint(model, ckpt)
+    capsys.readouterr()
+    assert main(["inspect", "--ckpt", ckpt]) == 0
+    lines = capsys.readouterr().out.splitlines()[-10:]
+    printed = [(name, int(count)) for name, count in (line.split() for line in lines)]
+    want = hand_summed_groups(model)
+    assert printed == [*want.items(), ("total", model.parameter_count())]
 
 
 def _rewrite(src, dst, mutate_header, mutate_payload=lambda payload: payload):

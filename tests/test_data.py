@@ -58,7 +58,7 @@ def test_loader_pixel_values_from_known_fixture(tmp_path):
     cls = tmp_path / "only"
     cls.mkdir()
     (cls / "img.ppm").write_bytes(make_ppm_bytes(pixels))
-    ds = load_image_folder(str(tmp_path), 2)
+    ds = load_image_folder(str(tmp_path), (2, 2))
     want = ((pixels.astype(np.float64) / 255.0 - 0.5) / 0.5).astype(np.float32)
     assert np.array_equal(ds.images[0], want)
 
@@ -69,7 +69,7 @@ def test_loader_assigns_labels_by_sorted_directory_name(tmp_path):
         d = tmp_path / name
         d.mkdir()
         (d / "x.ppm").write_bytes(img)
-    ds = load_image_folder(str(tmp_path), 2)
+    ds = load_image_folder(str(tmp_path), (2, 2))
     assert ds.class_names == ["ant", "bee"]
     assert ds.labels.tolist() == [0, 1]
 
@@ -79,18 +79,18 @@ def test_loader_errors_name_the_offending_file(tmp_path):
     d.mkdir()
     (d / "broken.ppm").write_bytes(b"not an image at all")
     with pytest.raises(DataError, match="broken.ppm"):
-        load_image_folder(str(tmp_path), 4)
+        load_image_folder(str(tmp_path), (4, 4))
 
 
 def test_loader_rejects_empty_class_dir(tmp_path):
     (tmp_path / "empty").mkdir()
     with pytest.raises(DataError, match="empty"):
-        load_image_folder(str(tmp_path), 4)
+        load_image_folder(str(tmp_path), (4, 4))
 
 
 def test_loader_rejects_missing_root(tmp_path):
     with pytest.raises(DataError):
-        load_image_folder(str(tmp_path / "nope"), 4)
+        load_image_folder(str(tmp_path / "nope"), (4, 4))
 
 
 # -- resizing ---------------------------------------------------------------------
@@ -145,7 +145,7 @@ def test_synthetic_counts_and_layout(tmp_path):
     assert len(names) == 4
     files = [f for _, _, fs in os.walk(root) for f in fs]
     assert len(files) == 64
-    ds = load_image_folder(root, 32)
+    ds = load_image_folder(root, (32, 32))
     assert len(ds) == 64 and ds.num_classes == 4
     assert ds.images.shape == (64, 32, 32, 3)
 

@@ -171,6 +171,13 @@ def test_selective_weights_sum_to_one_for_all_inputs():
             assert (w > 0).all() and (w < 1).all()
 
 
+def test_selective_weights_reject_a_descriptor_of_another_width():
+    fusion = zeroed_fusion(channels=8)
+    for width in (4, 16):
+        with pytest.raises(ShapeError):
+            fusion.selective_weights(t64(np.zeros((2, width))))
+
+
 # -- combination --------------------------------------------------------------------
 
 
@@ -317,7 +324,7 @@ def list_based_selective_module(maps, params, rng=None):
     for f in maps[1:]:
         fused = add(fused, f)
     if params.mode == "elementwise-average":
-        return fused / float(len(maps))
+        return mul(fused, t64(1.0 / len(maps)))
     smoothed = conv2d(fused, params.pre_pool_kernel, groups=params.channels)
     weights = params.selective_weights(pool_global(smoothed, params.pooling, rng=rng))
     lead, c = weights.shape[:-2], weights.shape[-2]

@@ -157,6 +157,11 @@ def test_block_preserves_shape_with_batch_axes():
     assert block(v).shape == (2, 4, 4, 8)
 
 
+def test_block_without_branches_is_a_config_error():
+    with pytest.raises(ConfigError):
+        make_block(())
+
+
 # -- patch merging -------------------------------------------------------------------
 
 

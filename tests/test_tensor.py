@@ -142,7 +142,7 @@ def test_finite_diff_check_rejects_nondeterministic_function():
 
     def noisy(t):
         state["calls"] += 1
-        return reduce_sum(t) * float(state["calls"])
+        return mul(reduce_sum(t), tensor64(float(state["calls"])))
 
     with pytest.raises(ValueError, match="deterministic"):
         finite_diff_check(noisy, tensor64([1.0]))

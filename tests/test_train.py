@@ -31,7 +31,7 @@ def micro_config(**overrides):
 def micro_dataset(tmp_path_factory):
     root = str(tmp_path_factory.mktemp("data") / "synth")
     generate_synthetic(root, classes=4, per_class=3, size=16, seed=0)
-    return load_image_folder(root, 16)
+    return load_image_folder(root, (16, 16))
 
 
 # -- cross entropy -----------------------------------------------------------------
@@ -255,3 +255,43 @@ def test_stochastic_pooling_training_is_seed_deterministic(micro_dataset, tmp_pa
         save_checkpoint(model, path)
         paths.append(path)
     assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+
+
+def test_float64_images_give_the_float32_run_bitwise(micro_dataset, tmp_path):
+    # the model casts its input: a float64 copy of the images must change nothing
+    wide = Dataset(
+        images=micro_dataset.images.astype(np.float64),
+        labels=micro_dataset.labels,
+        class_names=micro_dataset.class_names,
+    )
+    outcomes = []
+    for dataset in (micro_dataset, wide):
+        model, records = train(Model(micro_config()), dataset, epochs=2, batch_size=8,
+                               lr=1e-3, seed=0)
+        path = str(tmp_path / f"{dataset.images.dtype}.ckpt")
+        save_checkpoint(model, path)
+        metrics = evaluate(model, dataset)
+        outcomes.append((records, open(path, "rb").read(), metrics))
+    (records32, ckpt32, m32), (records64, ckpt64, m64) = outcomes
+    assert records32 == records64
+    assert ckpt32 == ckpt64
+    assert np.array_equal(m32.confusion, m64.confusion)
+    assert (m32.accuracy, m32.precision, m32.recall, m32.f1) == (
+        m64.accuracy, m64.precision, m64.recall, m64.f1)
+
+
+@pytest.mark.parametrize("run", [
+    lambda model, data: train(model, data, epochs=1, batch_size=8, lr=1e-3, seed=0),
+    lambda model, data: evaluate(model, data),
+], ids=["train", "evaluate"])
+def test_train_and_evaluate_share_the_dataset_checks(run, micro_dataset):
+    model = Model(micro_config())
+    empty = Dataset(
+        images=np.zeros((0, 16, 16, 3), dtype=np.float32),
+        labels=np.zeros(0, dtype=np.int64),
+        class_names=micro_dataset.class_names,
+    )
+    with pytest.raises(ValueError, match="empty"):
+        run(model, empty)
+    with pytest.raises(ValueError, match="classes"):
+        run(Model(micro_config(num_classes=6)), micro_dataset)
