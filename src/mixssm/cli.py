@@ -188,9 +188,9 @@ def cmd_gradcheck(args) -> int:
     results = gradient_suite(seed=args.seed, seeds=args.seeds)
     failing = []
     for component, err in results.items():
-        status = "PASS" if err < args.tolerance else "FAIL"
-        print(f"{component}: max_rel_error={err:.3e} {status}")
-        if err >= args.tolerance:
+        passed = err < args.tolerance
+        print(f"{component}: max_rel_error={err:.3e} {'PASS' if passed else 'FAIL'}")
+        if not passed:
             failing.append(component)
     if failing:
         print(f"gradient check failed for: {', '.join(failing)}", file=sys.stderr)

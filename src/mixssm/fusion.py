@@ -190,6 +190,6 @@ def selective_module(
     fused = reduce_sum(stacked, axis=0)
     if mode == "elementwise-average":
         return mul(fused, Tensor(np.asarray(1.0 / len(branch_outputs), dtype=fused.dtype)))
-    smoothed = conv2d(fused, params.pre_pool_kernel, groups=params.channels)
+    smoothed = conv2d(fused, params.pre_pool_kernel)
     pooled = pool_global(smoothed, params.pooling, rng=rng)
     return selective_combine(stacked, params.selective_weights(pooled))

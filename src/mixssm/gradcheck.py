@@ -71,7 +71,8 @@ def check_parameter_gradients(
     from one backward pass.  ``loss_fn`` must be deterministic; two baseline
     evaluations that disagree raise ``ValueError``.  Relative error per
     component uses the denominator max(|analytic|, |numeric|, 1e-8); the
-    report carries the largest over all parameters.
+    report carries the largest over all parameters and passes when it is
+    below ``tolerance``.
     """
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
@@ -105,7 +106,7 @@ def check_parameter_gradients(
                 flat_n[i] = (hi - lo) / (2.0 * step)
             worst = max(worst, _rel_error(analytic, numeric))
 
-    return GradCheckReport(max_rel_error=worst, tolerance=tolerance, passed=worst <= tolerance)
+    return GradCheckReport(max_rel_error=worst, tolerance=tolerance, passed=worst < tolerance)
 
 
 def gradient_suite(seed: int = 0, seeds: int = 5) -> dict[str, float]:

@@ -478,7 +478,7 @@ def load_checkpoint(path: str) -> Model:
         if end > len(payload):
             raise CheckpointError(f"{path}: truncated payload for tensor {name}")
         prev_end = end
-        values = np.frombuffer(payload[offset:end], dtype="<f4").reshape(shape)
+        values = np.frombuffer(payload, "<f4", count=length, offset=offset).reshape(shape)
         target = params[name]
         if target.shape != shape:
             raise CheckpointError(
@@ -486,7 +486,8 @@ def load_checkpoint(path: str) -> Model:
             )
         if not np.isfinite(values).all():
             raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
-        target.data = np.ascontiguousarray(values, dtype=model.dtype)
+        # a writable copy: the file's bytes are a read-only buffer
+        target.data = values.astype(model.dtype)
     if prev_end != len(payload):
         raise CheckpointError(
             f"{path}: {len(payload) - prev_end} payload bytes after the last tensor"

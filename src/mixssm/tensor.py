@@ -1,9 +1,11 @@
 """Dense N-dimensional arrays with reverse-mode differentiation.
 
-Values live in row-major numpy buffers, in one of two precisions chosen at
+Values live in numpy arrays, in one of two precisions chosen at
 construction time: float32 for training and inference, float64 for gradient
 checking.  Every primitive validates its result, so overflow or a domain
 error surfaces as :class:`NumericsError` instead of propagating NaN/Inf.
+An op output may share memory with its inputs (reshape, transpose, slice
+and flip return numpy views), so nothing writes into one.
 
 When any input of a primitive has ``requires_grad``, a :class:`TapeNode` is
 recorded; :meth:`Tensor.backward` replays the recorded graph in reverse
@@ -110,6 +112,8 @@ class Tensor:
         dtype = np.dtype(dtype)
         if dtype not in _FLOAT_DTYPES:
             raise TypeError(f"tensor dtype must be float32 or float64, got {dtype}")
+        # leaves are C-contiguous: the finite-difference check perturbs
+        # parameters in place through the view ``p.data.reshape(-1)``
         arr = np.ascontiguousarray(data, dtype=dtype)
         if not np.isfinite(arr).all():
             raise NumericsError("tensor created from non-finite values")
@@ -317,7 +321,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     shape = tuple(shape)
     try:
-        out = np.ascontiguousarray(x.data.reshape(shape))
+        out = x.data.reshape(shape)
     except ValueError as exc:
         raise ShapeError(f"reshape: cannot view {x.shape} as {shape}") from exc
     x_shape = x.shape
@@ -332,11 +336,11 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     if sorted(axes) != list(range(x.ndim)):
         raise ShapeError(f"transpose: axes {axes} are not a permutation for shape {x.shape}")
-    out = np.ascontiguousarray(x.data.transpose(axes))
+    out = x.data.transpose(axes)
     inverse = tuple(int(i) for i in np.argsort(axes))
 
     def backward(g):
-        return (np.ascontiguousarray(g.transpose(inverse)),)
+        return (g.transpose(inverse),)
 
     return _result("transpose", out, (x,), backward)
 
@@ -349,7 +353,7 @@ def slice_(x: Tensor, key: tuple[slice, ...]) -> Tensor:
     for s in key:
         if not isinstance(s, slice) or s.step not in (None, 1):
             raise ShapeError("slice supports contiguous slices only")
-    out = np.ascontiguousarray(x.data[key])
+    out = x.data[key]
     x_shape, x_dtype = x.shape, x.dtype
 
     def backward(g):
@@ -384,7 +388,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         for n in sizes:
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(start, start + n)
-            pieces.append(np.ascontiguousarray(g[tuple(idx)]))
+            pieces.append(g[tuple(idx)])
             start += n
         return tuple(pieces)
 
@@ -393,10 +397,10 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 def flip(x: Tensor, axis: int) -> Tensor:
     axis = axis % x.ndim
-    out = np.ascontiguousarray(np.flip(x.data, axis=axis))
+    out = np.flip(x.data, axis=axis)
 
     def backward(g):
-        return (np.ascontiguousarray(np.flip(g, axis=axis)),)
+        return (np.flip(g, axis=axis),)
 
     return _result("flip", out, (x,), backward)
 
@@ -551,14 +555,14 @@ def reduce_max(x: Tensor, axis=None) -> Tensor:
     return _result("reduce_max", out, (x,), backward)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, groups: int = 1) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     """Stride-1 2-D convolution over the two axes before the trailing channel
     axis, zero-padded so the output keeps the input's H x W.
 
-    ``x``: (..., H, W, C_in); ``w``: (kh, kw, C_in/groups, C_out).  An even
-    kernel side puts its extra row or column of padding after the map.
-    ``groups`` is 1 (dense) or ``C_in == C_out`` (depthwise); any other
-    value raises :class:`ShapeError`.
+    ``x``: (..., H, W, C_in).  A (kh, kw, C_in, C_out) kernel is dense, a
+    (kh, kw, 1, C_in) kernel depthwise (at C_in = 1 the two are the same sum);
+    any other shape raises :class:`ShapeError`.  An even kernel side puts its
+    extra row or column of padding after the map.
     """
     if x.ndim < 3:
         raise ShapeError(f"conv2d: input must be at least 3-d, got {x.shape}")
@@ -568,16 +572,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None, groups: int = 1) -> Te
     _check_dtypes("conv2d", *operands)
 
     h, wdt, cin = x.shape[-3:]
-    kh, kw, cin_g, cout = w.shape
-    depthwise = groups == cin and cout == cin
-    if groups != 1 and not depthwise:
-        raise ShapeError(
-            f"conv2d: groups must be 1 or equal the channel count, got {groups} for {cin}->{cout}"
-        )
-    if cin_g != cin // groups:
-        raise ShapeError(
-            f"conv2d: kernel expects {cin_g} input channels per group, input has {cin}/{groups}"
-        )
+    kh, kw, kin, cout = w.shape
+    depthwise = kin != cin
+    if depthwise and (kin, cout) != (1, cin):
+        raise ShapeError(f"conv2d: kernel {w.shape} is neither dense nor depthwise for {cin} channels")
     if b is not None and b.shape != (cout,):
         raise ShapeError(f"conv2d: bias shape {b.shape} does not match {cout} output channels")
 

@@ -325,7 +325,7 @@ def list_based_selective_module(maps, params, rng=None):
         fused = add(fused, f)
     if params.mode == "elementwise-average":
         return mul(fused, t64(1.0 / len(maps)))
-    smoothed = conv2d(fused, params.pre_pool_kernel, groups=params.channels)
+    smoothed = conv2d(fused, params.pre_pool_kernel)
     weights = params.selective_weights(pool_global(smoothed, params.pooling, rng=rng))
     lead, c = weights.shape[:-2], weights.shape[-2]
     acc = None

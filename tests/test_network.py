@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mixssm.errors import CheckpointError, ConfigError, ShapeError
-from mixssm.gradcheck import finite_diff_check
+from mixssm.gradcheck import check_parameter_gradients, finite_diff_check
 from mixssm.network import (
     BRANCH_NAMES,
     MixSsmBlock,
@@ -293,6 +293,22 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     path2 = str(tmp_path / "model2.ckpt")
     save_checkpoint(loaded, path2)
     assert open(path, "rb").read() == open(path2, "rb").read()
+
+
+def test_restored_parameters_are_writable_and_pass_a_gradient_check(tmp_path):
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(Model(micro_config(seed=21)), path)
+    loaded = load_checkpoint(path)
+    for name, p in loaded.named_parameters():
+        assert p.data.flags.writeable and p.data.flags.c_contiguous, name
+    x = Tensor(np.random.default_rng(3).standard_normal((16, 16, 3)).astype(np.float32))
+    weights = Tensor(np.arange(1.0, 5.0, dtype=np.float32))
+    report = check_parameter_gradients(
+        lambda: reduce_sum(mul(loaded.forward_classify(x), weights)),
+        [loaded.head_bias],
+        step=1e-2,
+    )
+    assert report.passed, report
 
 
 def test_checkpoint_truncation_detected(tmp_path):

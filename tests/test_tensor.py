@@ -137,6 +137,13 @@ def test_finite_diff_check_constant_function():
     assert report.max_rel_error == 0.0
 
 
+def test_finite_diff_check_passes_only_below_tolerance():
+    # the rule of ``mixssm gradcheck``: an error equal to the tolerance fails
+    x = tensor64(np.ones(4))
+    report = finite_diff_check(lambda t: reduce_sum(mul(t, tensor64(np.zeros(4)))), x, tolerance=0.0)
+    assert report.max_rel_error == 0.0 and not report.passed
+
+
 def test_finite_diff_check_rejects_nondeterministic_function():
     state = {"calls": 0}
 
@@ -189,7 +196,7 @@ PRIMITIVE_CASES = [
     ("conv2d_bias", lambda rng: rng.standard_normal(2),
      lambda x, c: conv2d(c((4, 4, 3)), c((3, 3, 3, 2)), x)),
     ("conv2d_depthwise", lambda rng: rng.standard_normal((4, 4, 3)),
-     lambda x, c: conv2d(x, c((3, 3, 1, 3)), groups=3)),
+     lambda x, c: conv2d(x, c((3, 3, 1, 3)))),
     ("reshape", lambda rng: rng.standard_normal((3, 4)),
      lambda x, c: reshape(x, (2, 6))),
     ("transpose", lambda rng: rng.standard_normal((2, 3, 4)),
@@ -262,6 +269,23 @@ def test_reshape_transpose_round_trip_is_bitwise_identity():
     assert np.array_equal(twice.data, x.data)
 
 
+def test_structural_ops_and_their_backward_rules_return_views():
+    x = Tensor(np.arange(24.0).reshape(2, 3, 4), requires_grad=True)
+    outs = {
+        "reshape": reshape(x, (6, 4)),
+        "transpose": transpose(x, (2, 0, 1)),
+        "slice": slice_(x, (slice(None), slice(1, 3))),
+        "flip": flip(x, axis=1),
+        "concat": concat([x, x], axis=2),
+    }
+    for name in ("reshape", "transpose", "slice", "flip"):
+        assert np.shares_memory(outs[name].data, x.data), name
+    for name in ("transpose", "flip", "concat"):
+        g = np.ones(outs[name].shape)
+        for gx in outs[name].node.backward_fn(g):
+            assert np.shares_memory(gx, g), name
+
+
 def test_softmax_rows_sum_to_one_and_shift_invariance():
     rng = np.random.default_rng(6)
     for seed in range(5):
@@ -317,8 +341,8 @@ def test_shape_mismatch_names_op_and_shapes():
 
 
 def test_conv2d_groups_other_than_dense_or_depthwise_rejected():
-    with pytest.raises(ShapeError, match="groups"):
-        conv2d(Tensor(np.zeros((4, 4, 4))), Tensor(np.zeros((3, 3, 2, 4))), groups=2)
+    with pytest.raises(ShapeError, match="neither dense nor depthwise"):
+        conv2d(Tensor(np.zeros((4, 4, 4))), Tensor(np.zeros((3, 3, 2, 4))))
 
 
 def test_mixed_precision_in_one_graph_rejected():
