@@ -133,11 +133,8 @@ def _run_sweep(args, settings, header: str) -> None:
         metrics = evaluate(model, dataset)
         return metrics.accuracy, metrics.f1
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(runner, settings))
-    else:
-        results = [runner(s) for s in settings]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(runner, settings))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([header, "acc", "f1"])

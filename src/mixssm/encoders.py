@@ -79,9 +79,8 @@ def cross_scan(v: Tensor) -> Tensor:
         raise ShapeError(f"cross_scan expects (..., H, W, C), got {v.shape}")
     *lead, h, w, c = v.shape
     seq_shape = (*lead, 1, h * w, c)
-    perm = tuple(range(len(lead))) + (v.ndim - 2, v.ndim - 3, v.ndim - 1)
     rows = reshape(v, seq_shape)
-    cols = reshape(transpose(v, perm), seq_shape)
+    cols = reshape(transpose(v, (1, 0, 2)), seq_shape)
     return concat([rows, flip(rows, axis=-2), cols, flip(cols, axis=-2)], axis=-3)
 
 
@@ -91,13 +90,12 @@ def cross_merge(seqs: Tensor, h: int, w: int) -> Tensor:
     if seqs.ndim < 3 or seqs.shape[-3:-1] != (4, h * w):
         raise ShapeError(f"cross_merge expects (..., 4, {h}*{w}, C), got {seqs.shape}")
     *lead, _, t, c = seqs.shape
-    nl = len(lead)
     # (row-major | column-major) x (forward | reversed)
     pairs = reshape(seqs, (*lead, 2, 2, t, c))
-    both = add(_take(pairs, nl + 1, 0), flip(_take(pairs, nl + 1, 1), axis=-2))
-    rows = reshape(_take(both, nl, 0), (*lead, h, w, c))
-    cols = reshape(_take(both, nl, 1), (*lead, w, h, c))
-    return add(rows, transpose(cols, tuple(range(nl)) + (nl + 1, nl, nl + 2)))
+    both = add(_take(pairs, -3, 0), flip(_take(pairs, -3, 1), axis=-2))
+    rows = reshape(_take(both, -4, 0), (*lead, h, w, c))
+    cols = reshape(_take(both, -4, 1), (*lead, w, h, c))
+    return add(rows, transpose(cols, (1, 0, 2)))
 
 
 # -- linear recurrence -------------------------------------------------------
@@ -232,18 +230,15 @@ class AttentionBranch(Module):
     def _attend(self, v: Tensor) -> tuple[Tensor, Tensor]:
         *lead, h, w, c = v.shape
         t = h * w
-        nl = len(lead)
         x = reshape(v, (*lead, 1, t, c))
         q = matmul(x, self.q_proj)
         k = matmul(x, self.k_proj)
         vals = matmul(x, self.v_proj)
         scale = Tensor(np.asarray(1.0 / math.sqrt(self.head_dim), dtype=v.dtype))
-        swap_last = tuple(range(nl)) + (nl, nl + 2, nl + 1)
-        to_tokens = tuple(range(nl)) + (nl + 1, nl, nl + 2)
-        scores = mul(matmul(q, transpose(k, swap_last)), scale)
+        scores = mul(matmul(q, transpose(k, (1, 0))), scale)
         attn = softmax(scores, axis=-1)
         mixed = matmul(attn, vals)
-        merged = reshape(transpose(mixed, to_tokens), (*lead, t, self.heads * self.head_dim))
+        merged = reshape(transpose(mixed, (1, 0, 2)), (*lead, t, self.heads * self.head_dim))
         out = reshape(matmul(merged, self.out_proj), (*lead, h, w, c))
         return out, attn
 

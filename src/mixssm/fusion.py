@@ -47,14 +47,9 @@ AGGREGATION_MODES = ("selective", "elementwise-max", "elementwise-average")
 
 
 def stack_branches(branch_outputs: list[Tensor]) -> Tensor:
-    """Stack n same-shape (..., H, W, C) branch maps into one (n, ..., H, W, C)."""
-    if not branch_outputs:
-        raise ShapeError("stack_branches needs at least one branch output")
-    shape = branch_outputs[0].shape
-    for f in branch_outputs[1:]:
-        if f.shape != shape:
-            raise ShapeError(f"stack_branches: branch shapes {shape} and {f.shape} differ")
-    return concat([reshape(f, (1, *shape)) for f in branch_outputs], axis=0)
+    """Stack n same-shape (..., H, W, C) branch maps into one (n, ..., H, W, C);
+    ``concat`` raises :class:`ShapeError` for no maps or differing shapes."""
+    return concat([reshape(f, (1, *f.shape)) for f in branch_outputs], axis=0)
 
 
 def pool_global(f: Tensor, method: str = "average", rng: np.random.Generator | None = None) -> Tensor:
@@ -177,13 +172,10 @@ def selective_module(
     """Aggregate branch maps by the mode ``params`` was built with.
 
     ``rng`` reaches only stochastic pooling: with it the pooled descriptor is
-    a sample, without it the expectation (see :func:`pool_global`).
+    a sample, without it the expectation (see :func:`pool_global`).  In
+    selective mode, a count other than ``params.n`` fails :func:`selective_combine`.
     """
     mode = params.mode
-    if mode == "selective" and len(branch_outputs) != params.n:
-        raise ShapeError(
-            f"fusion built for {params.n} strategies, got {len(branch_outputs)} branch outputs"
-        )
     stacked = stack_branches(branch_outputs)
     if mode == "elementwise-max":
         return reduce_max(stacked, axis=0)

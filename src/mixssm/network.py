@@ -178,10 +178,8 @@ def space_to_depth(x: Tensor, p: int) -> Tensor:
     *lead, h, w, c = x.shape
     if h % p or w % p:
         raise ShapeError(f"a {h}x{w} map does not split into {p}x{p} patches")
-    nl = len(lead)
     grouped = reshape(x, (*lead, h // p, p, w // p, p, c))
-    perm = tuple(range(nl)) + (nl, nl + 2, nl + 1, nl + 3, nl + 4)
-    return reshape(transpose(grouped, perm), (*lead, h // p, w // p, p * p * c))
+    return reshape(transpose(grouped, (0, 2, 1, 3, 4)), (*lead, h // p, w // p, p * p * c))
 
 
 class PatchEmbed(Module):
@@ -432,11 +430,10 @@ def load_checkpoint(path: str) -> Model:
     if len(raw) < len(CHECKPOINT_MAGIC) + 8 or raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
         raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
     header_len = int.from_bytes(raw[8:16], "little")
-    body = raw[16:]
-    if len(body) < header_len:
+    if len(raw) - 16 < header_len:
         raise CheckpointError(f"{path}: truncated header")
     try:
-        header = json.loads(body[:header_len].decode("utf-8"))
+        header = json.loads(raw[16 : 16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
     if not isinstance(header, dict):
@@ -455,7 +452,8 @@ def load_checkpoint(path: str) -> Model:
         )
 
     model = Model(config)
-    payload = body[header_len:]
+    # a view, not a copy, of the tensor bytes
+    payload = memoryview(raw)[16 + header_len :]
     params = dict(model.named_parameters())
     if sorted(params) != sorted(e["name"] for e in entries):
         raise CheckpointError(f"{path}: tensor directory does not match the model parameters")

@@ -13,7 +13,10 @@ topological order and accumulates gradients on the leaves.  Repeated
 backward calls keep accumulating until the leaf grads are cleared.
 
 Broadcasting follows numpy's trailing-axis rule and nothing more: aligned
-from the right, each axis pair must match or one of them must be 1.
+from the right, each axis pair must match or one of them must be 1.  Numpy
+enforces it, and concat's shape rule; its error surfaces as a ShapeError
+naming the op.  Precision is checked once, on every op's result: an input
+whose dtype differs from the output's (a float32/float64 mix) raises TypeError.
 """
 
 from __future__ import annotations
@@ -114,7 +117,7 @@ class Tensor:
             raise TypeError(f"tensor dtype must be float32 or float64, got {dtype}")
         # leaves are C-contiguous: the finite-difference check perturbs
         # parameters in place through the view ``p.data.reshape(-1)``
-        arr = np.ascontiguousarray(data, dtype=dtype)
+        arr = np.asarray(data, dtype=dtype, order="C")
         if not np.isfinite(arr).all():
             raise NumericsError("tensor created from non-finite values")
         self.data = arr
@@ -201,6 +204,9 @@ class Tensor:
 
 
 def _result(op: str, out: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
+    for inp in inputs:
+        if inp.dtype != out.dtype:
+            raise TypeError(f"{op}: mixed precisions {inp.dtype} and {out.dtype} in one graph")
     if not np.isfinite(out).all():
         raise NumericsError(f"{op} produced non-finite values (overflow or domain error)")
     t = Tensor.__new__(Tensor)
@@ -215,17 +221,12 @@ def _result(op: str, out: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -
     return t
 
 
-def _check_dtypes(op: str, *tensors: Tensor) -> None:
-    dt = tensors[0].dtype
-    for t in tensors[1:]:
-        if t.dtype != dt:
-            raise TypeError(f"{op}: mixed precisions {dt} and {t.dtype} in one graph")
-
-
-def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
-    for da, db in zip(reversed(a.shape), reversed(b.shape)):
-        if da != db and da != 1 and db != 1:
-            raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast")
+def _binary(op: str, fn, a: Tensor, b: Tensor) -> np.ndarray:
+    """``fn(a.data, b.data)``, with numpy's shape error as a :class:`ShapeError`."""
+    try:
+        return fn(a.data, b.data)
+    except ValueError as exc:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not match") from exc
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -256,9 +257,7 @@ def _normalize_axes(axis, ndim: int) -> tuple[int, ...]:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_dtypes("add", a, b)
-    _check_broadcast("add", a, b)
-    out = a.data + b.data
+    out = _binary("add", np.add, a, b)
     a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
@@ -268,9 +267,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_dtypes("mul", a, b)
-    _check_broadcast("mul", a, b)
-    out = a.data * b.data
+    out = _binary("mul", np.multiply, a, b)
     a_data, b_data = a.data, b.data
 
     def backward(g):
@@ -281,9 +278,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; ties split the gradient evenly between operands."""
-    _check_dtypes("elementwise_max", a, b)
-    _check_broadcast("elementwise_max", a, b)
-    out = np.maximum(a.data, b.data)
+    out = _binary("elementwise_max", np.maximum, a, b)
     a_data, b_data = a.data, b.data
 
     def backward(g):
@@ -296,15 +291,9 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _check_dtypes("matmul", a, b)
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul requires >=2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: inner dims differ for {a.shape} @ {b.shape}")
-    try:
-        out = a.data @ b.data
-    except ValueError as exc:
-        raise ShapeError(f"matmul: shapes {a.shape} @ {b.shape} do not broadcast") from exc
+    out = _binary("matmul", np.matmul, a, b)
     a_data, b_data = a.data, b.data
 
     def backward(g):
@@ -333,11 +322,15 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
+    """Permute the trailing ``len(axes)`` axes of ``x``, numbered from 0; the
+    leading axes stay, so ``(1, 0)`` swaps the last two axes of any tensor."""
     axes = tuple(axes)
-    if sorted(axes) != list(range(x.ndim)):
-        raise ShapeError(f"transpose: axes {axes} are not a permutation for shape {x.shape}")
-    out = x.data.transpose(axes)
-    inverse = tuple(int(i) for i in np.argsort(axes))
+    lead = x.ndim - len(axes)
+    if lead < 0 or sorted(axes) != list(range(len(axes))):
+        raise ShapeError(f"transpose: axes {axes} do not permute trailing axes of {x.shape}")
+    full = tuple(range(lead)) + tuple(lead + a for a in axes)
+    out = x.data.transpose(full)
+    inverse = tuple(int(i) for i in np.argsort(full))
 
     def backward(g):
         return (g.transpose(inverse),)
@@ -366,20 +359,12 @@ def slice_(x: Tensor, key: tuple[slice, ...]) -> Tensor:
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     tensors = tuple(tensors)
-    if not tensors:
-        raise ShapeError("concat of an empty sequence")
-    _check_dtypes("concat", *tensors)
-    axis = axis % tensors[0].ndim
-    base = list(tensors[0].shape)
-    for t in tensors[1:]:
-        other = list(t.shape)
-        if len(other) != len(base) or any(
-            i != axis and other[i] != base[i] for i in range(len(base))
-        ):
-            raise ShapeError(
-                f"concat: shape {t.shape} incompatible with {tensors[0].shape} on axis {axis}"
-            )
-    out = np.concatenate([t.data for t in tensors], axis=axis)
+    try:
+        out = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError as exc:
+        shapes = [t.shape for t in tensors]
+        raise ShapeError(f"concat: shapes {shapes} do not join on axis {axis}") from exc
+    axis = axis % out.ndim
     sizes = [t.shape[axis] for t in tensors]
 
     def backward(g):
@@ -468,7 +453,6 @@ def gelu(x: Tensor) -> Tensor:
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize over the trailing (channel) axis with learnable scale/shift;
     the variance is offset by 1e-5."""
-    _check_dtypes("layer_norm", x, gamma, beta)
     c = x.shape[-1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(
@@ -568,8 +552,6 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         raise ShapeError(f"conv2d: input must be at least 3-d, got {x.shape}")
     if w.ndim != 4:
         raise ShapeError(f"conv2d: kernel must be 4-d (kh, kw, cin, cout), got {w.shape}")
-    operands = (x, w) if b is None else (x, w, b)
-    _check_dtypes("conv2d", *operands)
 
     h, wdt, cin = x.shape[-3:]
     kh, kw, kin, cout = w.shape
@@ -623,4 +605,4 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             return gx, gw, gb4.sum(axis=(0, 1, 2))
         return gx, gw
 
-    return _result("conv2d", out, operands, backward)
+    return _result("conv2d", out, (x, w, b) if has_bias else (x, w), backward)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -309,6 +310,20 @@ def test_restored_parameters_are_writable_and_pass_a_gradient_check(tmp_path):
         step=1e-2,
     )
     assert report.passed, report
+
+
+def test_checkpoint_load_holds_the_payload_once(tmp_path):
+    path = tmp_path / "default.ckpt"
+    save_checkpoint(Model(ModelConfig()), str(path))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        load_checkpoint(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the rebuilt model (~1.3x the file) plus one read of the file
+    assert peak < 3 * size, (peak, size)
 
 
 def test_checkpoint_truncation_detected(tmp_path):

@@ -30,6 +30,7 @@ from mixssm.tensor import (
     sqrt,
     transpose,
 )
+from mixssm.train import cross_entropy_loss
 
 
 def tensor64(values, requires_grad=False):
@@ -330,9 +331,15 @@ def test_non_finite_input_rejected_at_construction():
 
 
 def test_shape_mismatch_names_op_and_shapes():
-    with pytest.raises(ShapeError) as err:
-        add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
-    assert "add" in str(err.value) and "(2, 3)" in str(err.value)
+    pairs = {"add": add, "mul": mul, "elementwise_max": maximum}
+    for op, fn in pairs.items():
+        with pytest.raises(ShapeError) as err:
+            fn(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+        assert op in str(err.value) and "(2, 3)" in str(err.value), op
+    for parts in ([(2, 3), (2, 4)], [(2, 3), (2, 3, 1)], []):
+        with pytest.raises(ShapeError) as err:
+            concat([Tensor(np.zeros(shape)) for shape in parts], axis=0)
+        assert "concat" in str(err.value) and all(str(sh) in str(err.value) for sh in parts)
     with pytest.raises(ShapeError) as err:
         matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
     assert "matmul" in str(err.value)
@@ -345,6 +352,57 @@ def test_conv2d_groups_other_than_dense_or_depthwise_rejected():
         conv2d(Tensor(np.zeros((4, 4, 4))), Tensor(np.zeros((3, 3, 2, 4))))
 
 
-def test_mixed_precision_in_one_graph_rejected():
-    with pytest.raises(TypeError, match="mixed"):
-        add(Tensor([1.0], dtype=np.float32), Tensor([1.0], dtype=np.float64))
+def f32(shape):
+    return Tensor(np.ones(shape, dtype=np.float32))
+
+
+def f64(shape):
+    return Tensor(np.ones(shape, dtype=np.float64))
+
+
+# one float32 and one float64 operand for each primitive that takes several
+MIXED_PRECISION_CASES = {
+    "add": lambda: add(f32((1,)), f64((1,))),
+    "mul": lambda: mul(f64((2, 1)), f32((3,))),
+    "maximum": lambda: maximum(f32((2,)), f64((2,))),
+    "matmul": lambda: matmul(f32((2, 3)), f64((3, 2))),
+    "concat": lambda: concat([f32((2,)), f64((3,))], axis=0),
+    "layer_norm_scale": lambda: layer_norm(f32((2, 3)), f64((3,)), f32((3,))),
+    "conv2d_kernel": lambda: conv2d(f32((4, 4, 2)), f64((3, 3, 2, 2))),
+    "conv2d_depthwise_kernel": lambda: conv2d(f32((4, 4, 2)), f64((3, 3, 1, 2))),
+    "conv2d_bias": lambda: conv2d(f32((4, 4, 2)), f32((3, 3, 2, 2)), f64((2,))),
+}
+
+
+@pytest.mark.parametrize("name", list(MIXED_PRECISION_CASES))
+def test_mixed_precision_in_one_graph_rejected(name):
+    with pytest.raises(TypeError, match="mixed precisions"):
+        MIXED_PRECISION_CASES[name]()
+
+
+def test_scalar_tensor_is_zero_dimensional():
+    assert Tensor(2.0).shape == ()
+    assert Tensor(np.float32(2.0)).shape == ()
+    probs = Tensor(np.array([[0.5, 0.25, 0.25]], dtype=np.float32), requires_grad=True)
+    loss = cross_entropy_loss(probs, [0])
+    assert loss.shape == ()
+    loss.backward()
+    assert np.allclose(probs.grad, [[-2.0, 0.0, 0.0]])
+
+
+def test_transpose_permutes_the_trailing_axes():
+    rng = np.random.default_rng(8)
+    x = tensor64(rng.standard_normal((2, 3, 4, 5)))
+    partial = {(1, 0): (0, 1, 3, 2), (2, 0, 1): (0, 3, 1, 2), (0,): (0, 1, 2, 3)}
+    for axes, full in partial.items():
+        assert np.array_equal(transpose(x, axes).data, x.data.transpose(full)), axes
+    assert np.array_equal(transpose(x, (3, 1, 0, 2)).data, x.data.transpose(3, 1, 0, 2))
+    for bad in ((0, 0), (1, 2), (0, 1, 2, 3, 4), (-1, 0)):
+        with pytest.raises(ShapeError):
+            transpose(x, bad)
+    for axes, full in partial.items():
+        weight = tensor64(rng.standard_normal(x.data.transpose(full).shape))
+        report = finite_diff_check(
+            lambda t: reduce_sum(mul(transpose(t, axes), weight)), x, tolerance=1e-6
+        )
+        assert report.passed, (axes, report)
