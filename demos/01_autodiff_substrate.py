@@ -40,9 +40,8 @@ def head(t: Tensor) -> Tensor:
 
 
 probe = Tensor(rng.standard_normal((6, 6, 2)), dtype=np.float64)
-report = finite_diff_check(head, probe, step=1e-4, tolerance=1e-4)
-print(f"conv+gelu gradient check: max_rel_error={report.max_rel_error:.2e} "
-      f"passed={report.passed}")
+err = finite_diff_check(head, probe, step=1e-4)
+print(f"conv+gelu gradient check: max_rel_error={err:.2e} (below 1e-4: {err < 1e-4})")
 
 # Matrix calculus falls out of the same machinery.
 a = Tensor(rng.standard_normal((4, 3)), requires_grad=True, dtype=np.float64)

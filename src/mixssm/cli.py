@@ -1,9 +1,11 @@
 """Command-line surface: train, eval, gradcheck, ablate, analyze, synth, inspect.
 
 Exit codes are a stable contract: 0 success, 1 usage/config/data problems,
-2 numerical abort, 3 gradient-check failure.  ``MIXSSM_THREADS`` (or
-``--threads``) sets the worker count for independent sweep settings; 1 is
-the bitwise-deterministic mode.
+2 numerical abort, 3 gradient-check failure.  ``--threads`` (default 1)
+sets the worker count for the independent settings of ``ablate`` and
+``analyze``; the CSV is the same at any count.  Each training field of
+the run config has one flag that overrides it (``--batch-size`` for
+``batch_size``).
 """
 
 from __future__ import annotations
@@ -12,15 +14,14 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from .config import RunConfig, emit_config, load_config_file
+from .config import TRAIN_FIELDS, RunConfig, emit_config, load_config_file
 from .data import Dataset, generate_synthetic, load_image_folder
 from .errors import ConfigError, NumericsError
 from .gradcheck import gradient_suite
-from .network import BRANCH_NAMES, Model, desk_config, load_checkpoint, save_checkpoint
+from .network import BRANCH_NAMES, Model, ModelConfig, desk_config, load_checkpoint, save_checkpoint
 from .train import Metrics, evaluate, train
 
 __all__ = ["main", "ABLATION_VARIANTS", "ANALYSIS_SWEEPS"]
@@ -54,18 +55,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _thread_count(override: int | None) -> int:
-    if override is not None:
-        count, source = override, "--threads"
-    else:
-        raw = os.environ.get("MIXSSM_THREADS", "1")
-        try:
-            count, source = int(raw), "MIXSSM_THREADS"
-        except ValueError as exc:
-            raise ConfigError(f"MIXSSM_THREADS must be an integer, got {raw!r}") from exc
-    if count < 1:
-        raise ConfigError(f"{source} must be at least 1, got {count}")
-    return count
+def _run_config(args) -> RunConfig:
+    """The ``--config`` file, or the desk defaults without one."""
+    return load_config_file(args.config) if args.config else RunConfig(model=desk_config())
 
 
 def _training_run(args) -> tuple[RunConfig, Dataset]:
@@ -75,15 +67,10 @@ def _training_run(args) -> tuple[RunConfig, Dataset]:
     one; then the model takes the data directory's class count, unless a
     config file fixed it (a differing count is refused by :func:`train`).
     """
-    run = load_config_file(args.config) if args.config else RunConfig(model=desk_config())
+    run = _run_config(args)
     model = run.model if args.seed is None else dataclasses.replace(run.model, seed=args.seed)
-    run = dataclasses.replace(
-        run,
-        model=model,
-        epochs=run.epochs if args.epochs is None else args.epochs,
-        batch_size=run.batch_size if args.batch_size is None else args.batch_size,
-        lr=run.lr if args.lr is None else args.lr,
-    )
+    flags = {name: getattr(args, name) for name in TRAIN_FIELDS if getattr(args, name) is not None}
+    run = dataclasses.replace(run, model=model, **flags)
     dataset = load_image_folder(args.data, run.model.input_size)
     if not args.config:
         model = dataclasses.replace(run.model, num_classes=dataset.num_classes)
@@ -110,30 +97,29 @@ def _format_metrics(metrics: Metrics) -> str:
     )
 
 
+def _fit(run: RunConfig, config: ModelConfig, dataset: Dataset):
+    """Train a fresh ``Model(config)`` with the training fields of ``run``."""
+    training = {name: getattr(run, name) for name in TRAIN_FIELDS}
+    return train(Model(config), dataset, seed=config.seed, **training)
+
+
 def _run_sweep(args, settings, header: str) -> None:
     """Train and evaluate one model per ``(name, model overrides)`` setting.
 
     Writes one ``name,acc,f1`` CSV row per setting, in ``settings`` order,
     whatever the worker count.
     """
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
     run, dataset = _training_run(args)
-    threads = _thread_count(args.threads)
 
     def runner(setting):
         _, overrides = setting
-        config = dataclasses.replace(run.model, **overrides)
-        model, _ = train(
-            Model(config),
-            dataset,
-            epochs=run.epochs,
-            batch_size=run.batch_size,
-            lr=run.lr,
-            seed=config.seed,
-        )
+        model, _ = _fit(run, dataclasses.replace(run.model, **overrides), dataset)
         metrics = evaluate(model, dataset)
         return metrics.accuracy, metrics.f1
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
         results = list(pool.map(runner, settings))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -147,15 +133,7 @@ def _run_sweep(args, settings, header: str) -> None:
 
 def cmd_train(args) -> int:
     run, dataset = _training_run(args)
-    model = Model(run.model)
-    model, records = train(
-        model,
-        dataset,
-        epochs=run.epochs,
-        batch_size=run.batch_size,
-        lr=run.lr,
-        seed=run.model.seed,
-    )
+    model, records = _fit(run, run.model, dataset)
     save_checkpoint(model, args.out)
     _write_epoch_log(args.out + ".log.csv", records)
     for rec in records:
@@ -203,10 +181,6 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.sweep not in ANALYSIS_SWEEPS:
-        raise ConfigError(
-            f"unknown sweep {args.sweep!r}; expected one of {sorted(ANALYSIS_SWEEPS)}"
-        )
     _run_sweep(args, ANALYSIS_SWEEPS[args.sweep], header="setting")
     print(f"{args.sweep} sweep results written to {args.out}")
     return 0
@@ -244,8 +218,7 @@ def cmd_inspect(args) -> int:
 
 
 def cmd_emit_config(args) -> int:
-    run = load_config_file(args.config) if args.config else RunConfig(model=desk_config())
-    sys.stdout.write(emit_config(run))
+    sys.stdout.write(emit_config(_run_config(args)))
     return 0
 
 
@@ -256,14 +229,13 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="mixssm", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_run_args(p, with_out=True):
+    def add_run_args(p):
         p.add_argument("--config", default=None, help="JSON run config file")
         p.add_argument("--data", required=True, help="image-folder dataset directory")
-        if with_out:
-            p.add_argument("--out", required=True)
-        p.add_argument("--epochs", type=int, default=None)
-        p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-        p.add_argument("--lr", type=float, default=None)
+        p.add_argument("--out", required=True)
+        for name in TRAIN_FIELDS:
+            kind = type(getattr(RunConfig, name))
+            p.add_argument("--" + name.replace("_", "-"), type=kind, default=None, dest=name)
         p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("train", help="train a model and write a checkpoint + epoch log")
@@ -284,13 +256,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("ablate", help="train/eval all 8 branch subsets")
     add_run_args(p)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(handler=cmd_ablate)
 
     p = sub.add_parser("analyze", help="sweep aggregation, kernel size or pooling")
     add_run_args(p)
-    p.add_argument("--sweep", required=True)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--sweep", required=True, choices=sorted(ANALYSIS_SWEEPS))
+    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(handler=cmd_analyze)
 
     p = sub.add_parser("synth", help="generate a synthetic PPM dataset")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .network import ModelConfig, check_field_types, config_from_dict
 
-__all__ = ["RunConfig", "parse_config", "emit_config", "load_config_file"]
+__all__ = ["RunConfig", "TRAIN_FIELDS", "parse_config", "emit_config", "load_config_file"]
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,8 @@ class RunConfig:
             raise ConfigError(f"lr must be non-negative and finite, got {self.lr}")
 
 
-_TRAIN_FIELDS = ("epochs", "batch_size", "lr")
+# every field of a run config but its model, in declaration order
+TRAIN_FIELDS = tuple(f.name for f in dataclasses.fields(RunConfig) if f.name != "model")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -47,22 +48,14 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    model_keys = {f.name for f in dataclasses.fields(ModelConfig)}
-    unknown = set(data) - model_keys - set(_TRAIN_FIELDS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    model = config_from_dict({k: v for k, v in data.items() if k in model_keys})
-    return RunConfig(model=model, **{k: data[k] for k in _TRAIN_FIELDS if k in data})
+    model = config_from_dict({k: v for k, v in data.items() if k not in TRAIN_FIELDS})
+    return RunConfig(model=model, **{k: data[k] for k in TRAIN_FIELDS if k in data})
 
 
 def emit_config(config: RunConfig) -> str:
     """Canonical textual form; stable field order and formatting."""
     payload = dataclasses.asdict(config.model)
-    payload.update(
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        lr=config.lr,
-    )
+    payload.update((name, getattr(config, name)) for name in TRAIN_FIELDS)
     return json.dumps(payload, indent=2) + "\n"
 
 

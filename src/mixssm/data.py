@@ -69,9 +69,9 @@ def _ppm_tokens(raw: bytes, count: int, path: str) -> tuple[list[bytes], int]:
 
 def decode_ppm(raw: bytes, path: str = "<bytes>") -> np.ndarray:
     """Decode binary P6 data to a (H, W, 3) uint8 array."""
-    if not raw.startswith(b"P6"):
-        raise DataError(f"{path}: not a binary P6 PPM file")
     tokens, end = _ppm_tokens(raw, 4, path)
+    if tokens[0] != b"P6":
+        raise DataError(f"{path}: not a binary P6 PPM file")
     try:
         width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     except ValueError as exc:

@@ -157,7 +157,6 @@ def desk_config(num_classes: int = 4, seed: int = 0) -> ModelConfig:
         input_size=(32, 32),
         depths=(1, 1, 2, 1),
         channels=(16, 32, 64, 128),
-        heads=(2, 4, 8, 16),
         num_classes=num_classes,
         seed=seed,
     )
@@ -167,7 +166,7 @@ def config_from_dict(data: dict) -> ModelConfig:
     known = {f.name for f in dataclasses.fields(ModelConfig)}
     unknown = set(data) - known
     if unknown:
-        raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return ModelConfig(**data)
 
 
@@ -242,24 +241,15 @@ class MixSsmBlock(Module):
         # with no branch enabled, SelectiveFusion(n=0) raises ConfigError
         self.branch_order = tuple(b for b in BRANCH_NAMES if b in branches)
         self.norm = LayerNorm(channels, dtype=dtype)
-        self.ssm = (
-            SsmBranch(channels, state_dim, ssm_shared_directions, rng=rng, dtype=dtype)
-            if "ssm" in self.branch_order
-            else None
-        )
-        self.conv = (
-            ConvBranch(channels, rng=rng, dtype=dtype) if "conv" in self.branch_order else None
-        )
-        self.mlp = (
-            ChannelMlpBranch(channels, rng=rng, dtype=dtype)
-            if "mlp" in self.branch_order
-            else None
-        )
-        self.msa = (
-            AttentionBranch(channels, heads, rng=rng, dtype=dtype)
-            if "msa" in self.branch_order
-            else None
-        )
+        build = {
+            "ssm": lambda: SsmBranch(channels, state_dim, ssm_shared_directions, rng=rng, dtype=dtype),
+            "conv": lambda: ConvBranch(channels, rng=rng, dtype=dtype),
+            "mlp": lambda: ChannelMlpBranch(channels, rng=rng, dtype=dtype),
+            "msa": lambda: AttentionBranch(channels, heads, rng=rng, dtype=dtype),
+        }
+        # built in BRANCH_NAMES order, so the rng draws and parameter names are fixed
+        for name in BRANCH_NAMES:
+            setattr(self, name, build[name]() if name in self.branch_order else None)
         self.fusion = SelectiveFusion(
             channels,
             n=len(self.branch_order),
@@ -400,7 +390,7 @@ def save_checkpoint(model: Model, path: str) -> None:
 
 def _is_count(value) -> bool:
     """A non-negative JSON integer (``true``/``false`` do not count)."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+    return _is_int(value) and value >= 0
 
 
 def _is_tensor_entry(entry) -> bool:

@@ -242,12 +242,19 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _normalize_axes(axis, ndim: int) -> tuple[int, ...]:
+def _axis(op: str, axis: int, ndim: int) -> int:
+    """``axis`` as an index in [0, ndim); anything outside [-ndim, ndim) raises."""
+    if not -ndim <= axis < ndim:
+        raise ShapeError(f"{op}: axis {axis} is out of range for a {ndim}-d input")
+    return axis % ndim
+
+
+def _normalize_axes(op: str, axis, ndim: int) -> tuple[int, ...]:
     if axis is None:
         return tuple(range(ndim))
     if isinstance(axis, int):
         axis = (axis,)
-    out = tuple(sorted(a % ndim for a in axis))
+    out = tuple(sorted(_axis(op, a, ndim) for a in axis))
     if len(set(out)) != len(out):
         raise ShapeError(f"duplicate reduction axes {axis}")
     return out
@@ -381,7 +388,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def flip(x: Tensor, axis: int) -> Tensor:
-    axis = axis % x.ndim
+    axis = _axis("flip", axis, x.ndim)
     out = np.flip(x.data, axis=axis)
 
     def backward(g):
@@ -481,7 +488,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Max-subtracted softmax along ``axis``."""
-    axis = axis % x.ndim
+    axis = _axis("softmax", axis, x.ndim)
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=axis, keepdims=True)
@@ -500,7 +507,7 @@ def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...]
 
 
 def reduce_sum(x: Tensor, axis=None) -> Tensor:
-    axes = _normalize_axes(axis, x.ndim)
+    axes = _normalize_axes("reduce_sum", axis, x.ndim)
     out = x.data.sum(axis=axes)
     x_shape = x.shape
 
@@ -511,7 +518,7 @@ def reduce_sum(x: Tensor, axis=None) -> Tensor:
 
 
 def reduce_mean(x: Tensor, axis=None) -> Tensor:
-    axes = _normalize_axes(axis, x.ndim)
+    axes = _normalize_axes("reduce_mean", axis, x.ndim)
     count = 1
     for ax in axes:
         count *= x.shape[ax]
@@ -526,7 +533,7 @@ def reduce_mean(x: Tensor, axis=None) -> Tensor:
 
 def reduce_max(x: Tensor, axis=None) -> Tensor:
     """Max reduction; the gradient splits evenly among tied maxima."""
-    axes = _normalize_axes(axis, x.ndim)
+    axes = _normalize_axes("reduce_max", axis, x.ndim)
     kept = x.data.max(axis=axes, keepdims=True)
     out = kept.reshape(tuple(d for ax, d in enumerate(x.shape) if ax not in axes))
     x_data = x.data

@@ -19,6 +19,8 @@ from mixssm.network import Model, ModelConfig, desk_config, load_checkpoint, sav
 from mixssm.tensor import Tensor, no_grad, reduce_sum
 from mixssm.train import evaluate, metrics_from_predictions, train
 
+from oracles import brute_force_metrics, five_loop_conv_same, naive_selective_scan
+
 GRADIENT_TOLERANCE = 1e-3
 
 
@@ -61,56 +63,6 @@ def test_criterion_1_gradient_suite():
     )
 
 
-def naive_selective_scan(u, p):
-    t_len = u.shape[-2]
-    n = p.state_dim
-    dt = np.logaddexp(0.0, u @ p.dt_weight.data + p.dt_bias.data)
-    b_tok, c_tok = u @ p.b_weight.data, u @ p.c_weight.data
-    h = np.zeros(u.shape[:-2] + (u.shape[-1], n))
-    y = np.zeros_like(u)
-    for t in range(t_len):
-        decay = np.exp(dt[..., t, :, None] * p.log_decay_rates.data)
-        drive = (dt[..., t, :] * u[..., t, :])[..., None] * b_tok[..., t, None, :]
-        h = decay * h + drive
-        y[..., t, :] = (h * c_tok[..., t, None, :]).sum(-1) + p.skip_gain.data * u[..., t, :]
-    return y
-
-
-def loop_conv_same(x, w, b):
-    h, wd, cin = x.shape
-    kh, kw, _, cout = w.shape
-    pt, pl = (kh - 1) // 2, (kw - 1) // 2
-    out = np.zeros((h, wd, cout))
-    for i in range(h):
-        for j in range(wd):
-            for k in range(cout):
-                acc = b[k]
-                for m in range(kh):
-                    for n in range(kw):
-                        ii, jj = i + m - pt, j + n - pl
-                        if 0 <= ii < h and 0 <= jj < wd:
-                            acc += (x[ii, jj] * w[m, n, :, k]).sum()
-                out[i, j, k] = acc
-    return out
-
-
-def brute_force_metrics(preds, labels, k):
-    confusion = [[0] * k for _ in range(k)]
-    for p, t in zip(preds, labels):
-        confusion[t][p] += 1
-    acc = sum(confusion[i][i] for i in range(k)) / len(labels)
-    precs, recs, f1s = [], [], []
-    for c in range(k):
-        pred_c = sum(confusion[r][c] for r in range(k))
-        true_c = sum(confusion[c])
-        prec = confusion[c][c] / pred_c if pred_c else 0.0
-        rec = confusion[c][c] / true_c if true_c else 0.0
-        f1s.append(2 * prec * rec / (prec + rec) if prec + rec else 0.0)
-        precs.append(prec)
-        recs.append(rec)
-    return confusion, acc, sum(precs) / k, sum(recs) / k, sum(f1s) / k
-
-
 def test_criterion_2_oracle_equivalence():
     rng = np.random.default_rng(2024)
 
@@ -134,7 +86,7 @@ def test_criterion_2_oracle_equivalence():
         branch.bias.data = rng.standard_normal(2)
         x = rng.standard_normal((5, 5, 2))
         got = branch(Tensor(x, dtype=np.float64)).data
-        want = loop_conv_same(x, branch.weight.data, branch.bias.data)
+        want = five_loop_conv_same(x, branch.weight.data, branch.bias.data)
         conv_worst = max(conv_worst, float(np.abs(got - want).max()))
     conv_ok = conv_worst < 1e-6
 

@@ -8,8 +8,9 @@ import os
 import numpy as np
 import pytest
 
+from mixssm import cli
 from mixssm.cli import ABLATION_VARIANTS, main
-from mixssm.config import emit_config, parse_config
+from mixssm.config import TRAIN_FIELDS, RunConfig, emit_config, parse_config
 from mixssm.data import generate_synthetic
 from mixssm.errors import CheckpointError, ConfigError
 from mixssm.network import (
@@ -54,8 +55,7 @@ def read_csv(path):
 
 
 def micro_model_config(**overrides):
-    fields = {k: v for k, v in MICRO_CONFIG.items()
-              if k not in ("epochs", "batch_size", "lr")}
+    fields = {k: v for k, v in MICRO_CONFIG.items() if k not in TRAIN_FIELDS}
     fields.update(overrides)
     return ModelConfig(**fields)
 
@@ -261,32 +261,13 @@ def test_analyze_unknown_sweep_exits_1(workdir, capsys):
     assert "sweep" in capsys.readouterr().err
 
 
-def test_worker_count_from_environment(workdir, monkeypatch):
-    out = str(workdir["root"] / "env_agg.csv")
-    monkeypatch.setenv("MIXSSM_THREADS", "2")
-    code = main([
-        "analyze", "--config", workdir["config"], "--data", workdir["data"],
-        "--sweep", "aggregation", "--out", out, "--epochs", "1",
-    ])
-    assert code == 0 and len(read_csv(out)) == 4
-    monkeypatch.setenv("MIXSSM_THREADS", "lots")
-    code = main([
-        "analyze", "--config", workdir["config"], "--data", workdir["data"],
-        "--sweep", "aggregation", "--out", out, "--epochs", "1",
-    ])
-    assert code == 1
-
-
-def test_worker_count_below_one_exits_1(workdir, monkeypatch, capsys):
+def test_worker_count_below_one_exits_1(workdir, capsys):
     out = str(workdir["root"] / "no_workers.csv")
     sweep = ["analyze", "--config", workdir["config"], "--data", workdir["data"],
              "--sweep", "aggregation", "--out", out, "--epochs", "1"]
     assert main([*sweep, "--threads", "0"]) == 1
-    assert "--threads" in capsys.readouterr().err
-    monkeypatch.setenv("MIXSSM_THREADS", "0")
-    assert main(sweep) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "MIXSSM_THREADS" in err
+    assert err.startswith("error:") and "--threads" in err
     assert not os.path.exists(out)
 
 
@@ -487,6 +468,40 @@ def test_config_wrong_type_or_size_exits_1(override, tmp_path, capsys):
     assert main(["emit-config", "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+class _Trained(Exception):
+    """Raised by a stand-in for ``train`` once it has seen its arguments."""
+
+
+@pytest.mark.parametrize("command", [["train"], ["ablate"], ["analyze", "--sweep", "kernel"]])
+def test_every_training_field_has_an_overriding_flag(command, workdir, monkeypatch):
+    seen = {}
+
+    def fake_train(model, dataset, **kwargs):
+        seen.update(kwargs)
+        raise _Trained
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    base = parse_config(open(workdir["config"]).read())
+    assert TRAIN_FIELDS
+    for name in TRAIN_FIELDS:
+        value = 2 * getattr(base, name)
+        with pytest.raises(_Trained):
+            main([*command, "--config", workdir["config"], "--data", workdir["data"],
+                  "--out", str(workdir["root"] / "unused"),
+                  "--" + name.replace("_", "-"), str(value)])
+        want = {field: getattr(base, field) for field in TRAIN_FIELDS}
+        assert {field: seen[field] for field in TRAIN_FIELDS} == {**want, name: value}
+
+
+def test_emit_config_writes_model_then_training_fields_in_declaration_order(workdir, capsys):
+    for argv in (["emit-config"], ["emit-config", "--config", workdir["config"]]):
+        assert main(argv) == 0
+        keys = list(json.loads(capsys.readouterr().out))
+        model_fields = [f.name for f in dataclasses.fields(ModelConfig)]
+        run_fields = [f.name for f in dataclasses.fields(RunConfig) if f.name != "model"]
+        assert keys == model_fields + run_fields
 
 
 def test_config_unknown_key_rejected():

@@ -45,6 +45,8 @@ def test_decode_ppm_rescales_small_maxval():
 def test_decode_ppm_rejects_bad_inputs():
     with pytest.raises(DataError, match="P6"):
         decode_ppm(b"P3\n1 1\n255\n0 0 0")
+    with pytest.raises(DataError, match="P6"):
+        decode_ppm(b"P6x 1 1 255\n\x01\x02\x03")
     with pytest.raises(DataError, match="payload"):
         decode_ppm(b"P6\n2 2\n255\n" + b"\x00" * 5)
     with pytest.raises(DataError, match="max value"):

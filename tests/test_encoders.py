@@ -32,6 +32,8 @@ from mixssm.tensor import (
     transpose,
 )
 
+from oracles import five_loop_conv_same, naive_selective_scan
+
 
 def t64(values):
     return Tensor(np.asarray(values, dtype=np.float64))
@@ -68,26 +70,6 @@ def test_conv_branch_bias_only():
     branch.bias.data = np.array([5.0, -1.0])
     out = branch(t64(np.random.default_rng(1).standard_normal((3, 3, 2))))
     assert np.allclose(out.data[..., 0], 5.0) and np.allclose(out.data[..., 1], -1.0)
-
-
-def five_loop_conv_same(x, w, b):
-    """Direct evaluation of the padded convolution sum, no vectorization."""
-    h, wd, cin = x.shape
-    kh, kw, _, cout = w.shape
-    pt, pl = (kh - 1) // 2, (kw - 1) // 2
-    out = np.zeros((h, wd, cout))
-    for i in range(h):
-        for j in range(wd):
-            for k in range(cout):
-                acc = b[k]
-                for m in range(kh):
-                    for n in range(kw):
-                        ii, jj = i + m - pt, j + n - pl
-                        if 0 <= ii < h and 0 <= jj < wd:
-                            for l in range(cin):
-                                acc += x[ii, jj, l] * w[m, n, l, k]
-                out[i, j, k] = acc
-    return out
 
 
 def test_conv_branch_matches_nested_loop_oracle():
@@ -345,8 +327,8 @@ def test_linear_scan_gradients_match_finite_differences(t):
     proj = rand64(rng, shape)
     wrt_decay = finite_diff_check(lambda d: reduce_sum(mul(linear_scan(d, drive), proj)), decay)
     wrt_drive = finite_diff_check(lambda x: reduce_sum(mul(linear_scan(decay, x), proj)), drive)
-    assert wrt_decay.passed, wrt_decay
-    assert wrt_drive.passed, wrt_drive
+    assert wrt_decay < 1e-4, wrt_decay
+    assert wrt_drive < 1e-4, wrt_drive
 
 
 def test_linear_scan_single_step_gives_decay_no_gradient():
@@ -357,23 +339,6 @@ def test_linear_scan_single_step_gives_decay_no_gradient():
     reduce_sum(linear_scan(decay, drive)).backward()
     assert decay.grad is None
     assert np.array_equal(drive.grad, np.ones((1, 2, 3)))
-
-
-def naive_selective_scan(u, p):
-    """Sequential recurrence evaluated directly from the documented equations."""
-    t_len, c = u.shape[-2:]
-    n = p.state_dim
-    dt = np.logaddexp(0.0, u @ p.dt_weight.data + p.dt_bias.data)
-    b_tok = u @ p.b_weight.data
-    c_tok = u @ p.c_weight.data
-    h = np.zeros(u.shape[:-2] + (c, n))
-    y = np.zeros_like(u)
-    for t in range(t_len):
-        decay = np.exp(dt[..., t, :, None] * p.log_decay_rates.data)
-        drive = (dt[..., t, :] * u[..., t, :])[..., None] * b_tok[..., t, None, :]
-        h = decay * h + drive
-        y[..., t, :] = (h * c_tok[..., t, None, :]).sum(-1) + p.skip_gain.data * u[..., t, :]
-    return y
 
 
 def test_selective_scan_matches_sequential_oracle():

@@ -113,8 +113,8 @@ def test_patch_embed_gradients_match_finite_differences(wrt):
         setattr(embed, wrt, t)
         return reduce_sum(mul(embed(x), proj))
 
-    report = finite_diff_check(loss, x if wrt == "input" else getattr(embed, wrt))
-    assert report.passed, report
+    err = finite_diff_check(loss, x if wrt == "input" else getattr(embed, wrt))
+    assert err < 1e-4, err
 
 
 # -- mixing block -----------------------------------------------------------------
@@ -304,12 +304,12 @@ def test_restored_parameters_are_writable_and_pass_a_gradient_check(tmp_path):
         assert p.data.flags.writeable and p.data.flags.c_contiguous, name
     x = Tensor(np.random.default_rng(3).standard_normal((16, 16, 3)).astype(np.float32))
     weights = Tensor(np.arange(1.0, 5.0, dtype=np.float32))
-    report = check_parameter_gradients(
+    err = check_parameter_gradients(
         lambda: reduce_sum(mul(loaded.forward_classify(x), weights)),
         [loaded.head_bias],
         step=1e-2,
     )
-    assert report.passed, report
+    assert err < 1e-3, err
 
 
 def test_checkpoint_load_holds_the_payload_once(tmp_path):

@@ -89,13 +89,8 @@ def test_backward_softmax_head_matches_finite_differences():
     rng = np.random.default_rng(11)
     z = tensor64(rng.standard_normal(5))
     onehot = tensor64(np.eye(5)[2])
-    report = finite_diff_check(
-        lambda t: reduce_mean(mul(softmax(t, axis=-1), onehot)),
-        z,
-        step=1e-3,
-        tolerance=1e-4,
-    )
-    assert report.passed, report
+    err = finite_diff_check(lambda t: reduce_mean(mul(softmax(t, axis=-1), onehot)), z, step=1e-3)
+    assert err < 1e-4, err
 
 
 def test_backward_accumulates_until_cleared():
@@ -128,21 +123,13 @@ def test_detached_graph_leaves_grads_absent():
 def test_finite_diff_check_sum_of_squares():
     rng = np.random.default_rng(0)
     x = tensor64(rng.standard_normal(10))
-    report = finite_diff_check(lambda t: reduce_sum(mul(t, t)), x, step=1e-4, tolerance=1e-6)
-    assert report.passed and report.max_rel_error < 1e-6
+    err = finite_diff_check(lambda t: reduce_sum(mul(t, t)), x, step=1e-4)
+    assert err < 1e-6, err
 
 
 def test_finite_diff_check_constant_function():
     x = tensor64(np.ones(4))
-    report = finite_diff_check(lambda t: reduce_sum(mul(t, tensor64(np.zeros(4)))), x)
-    assert report.max_rel_error == 0.0
-
-
-def test_finite_diff_check_passes_only_below_tolerance():
-    # the rule of ``mixssm gradcheck``: an error equal to the tolerance fails
-    x = tensor64(np.ones(4))
-    report = finite_diff_check(lambda t: reduce_sum(mul(t, tensor64(np.zeros(4)))), x, tolerance=0.0)
-    assert report.max_rel_error == 0.0 and not report.passed
+    assert finite_diff_check(lambda t: reduce_sum(mul(t, tensor64(np.zeros(4)))), x) == 0.0
 
 
 def test_finite_diff_check_rejects_nondeterministic_function():
@@ -252,10 +239,8 @@ def test_primitive_gradients_match_finite_differences(name, make_input, apply):
         probe_out = apply(x, const)
         _R[probe_out.shape] = tensor64(rng.standard_normal(probe_out.shape))
         head = _head(rng)
-        report = finite_diff_check(
-            lambda t: head(apply(t, const)), x, step=1e-4, tolerance=1e-4
-        )
-        assert report.passed, f"{name} seed {seed}: {report}"
+        err = finite_diff_check(lambda t: head(apply(t, const)), x, step=1e-4)
+        assert err < 1e-4, f"{name} seed {seed}: {err}"
 
 
 # -- structural invariants --------------------------------------------------------
@@ -347,6 +332,22 @@ def test_shape_mismatch_names_op_and_shapes():
         conv2d(Tensor(np.zeros((4, 4, 3))), Tensor(np.zeros((3, 3, 2, 2))))
 
 
+# an axis outside [-ndim, ndim) of a 2-d input, per op taking one
+OUT_OF_RANGE_AXIS_CASES = {
+    "reduce_sum": lambda x: reduce_sum(x, axis=2),
+    "reduce_mean": lambda x: reduce_mean(x, axis=(0, -3)),
+    "reduce_max": lambda x: reduce_max(x, axis=5),
+    "softmax": lambda x: softmax(x, axis=3),
+    "flip": lambda x: flip(x, -3),
+}
+
+
+@pytest.mark.parametrize("op", list(OUT_OF_RANGE_AXIS_CASES))
+def test_out_of_range_axis_rejected_not_wrapped(op):
+    with pytest.raises(ShapeError, match=f"{op}: axis"):
+        OUT_OF_RANGE_AXIS_CASES[op](tensor64(np.zeros((2, 3))))
+
+
 def test_conv2d_groups_other_than_dense_or_depthwise_rejected():
     with pytest.raises(ShapeError, match="neither dense nor depthwise"):
         conv2d(Tensor(np.zeros((4, 4, 4))), Tensor(np.zeros((3, 3, 2, 4))))
@@ -402,7 +403,5 @@ def test_transpose_permutes_the_trailing_axes():
             transpose(x, bad)
     for axes, full in partial.items():
         weight = tensor64(rng.standard_normal(x.data.transpose(full).shape))
-        report = finite_diff_check(
-            lambda t: reduce_sum(mul(transpose(t, axes), weight)), x, tolerance=1e-6
-        )
-        assert report.passed, (axes, report)
+        err = finite_diff_check(lambda t: reduce_sum(mul(transpose(t, axes), weight)), x)
+        assert err < 1e-6, (axes, err)

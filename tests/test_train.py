@@ -17,6 +17,8 @@ from mixssm.train import (
     train,
 )
 
+from oracles import brute_force_metrics
+
 
 def micro_config(**overrides):
     base = dict(
@@ -155,25 +157,6 @@ def test_metrics_absent_class_contributes_zero():
     m = metrics_from_predictions(preds, labels, 2)
     assert m.accuracy == 1.0
     assert math.isclose(m.precision, 0.5) and math.isclose(m.recall, 0.5)
-
-
-def brute_force_metrics(preds, labels, k):
-    """Independent loop-based confusion/metric script."""
-    confusion = [[0] * k for _ in range(k)]
-    for p, t in zip(preds, labels):
-        confusion[t][p] += 1
-    correct = sum(confusion[i][i] for i in range(k))
-    acc = correct / len(labels)
-    precs, recs, f1s = [], [], []
-    for c in range(k):
-        pred_c = sum(confusion[r][c] for r in range(k))
-        true_c = sum(confusion[c])
-        prec = confusion[c][c] / pred_c if pred_c else 0.0
-        rec = confusion[c][c] / true_c if true_c else 0.0
-        f1s.append(2 * prec * rec / (prec + rec) if prec + rec else 0.0)
-        precs.append(prec)
-        recs.append(rec)
-    return confusion, acc, sum(precs) / k, sum(recs) / k, sum(f1s) / k
 
 
 def test_metrics_match_brute_force_on_100_random_sets():
