@@ -14,12 +14,15 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 from .config import TRAIN_FIELDS, RunConfig, emit_config, load_config_file
 from .data import Dataset, generate_synthetic, load_image_folder
 from .errors import ConfigError, NumericsError
+from .fusion import KERNEL_SIZES, POOLING_METHODS
 from .gradcheck import gradient_suite
 from .network import BRANCH_NAMES, Model, ModelConfig, desk_config, load_checkpoint, save_checkpoint
 from .train import Metrics, evaluate, train
@@ -41,8 +44,8 @@ ANALYSIS_SWEEPS = {
     "aggregation": [("selective", {"aggregation": "selective"}),
                     ("max", {"aggregation": "elementwise-max"}),
                     ("average", {"aggregation": "elementwise-average"})],
-    "kernel": [(f"k{k}", {"kernel_size": k}) for k in (1, 3, 5, 7)],
-    "pooling": [(m, {"pooling": m}) for m in ("average", "max", "l2", "stochastic")],
+    "kernel": [(f"k{k}", {"kernel_size": k}) for k in KERNEL_SIZES],
+    "pooling": [(m, {"pooling": m}) for m in POOLING_METHODS],
 }
 
 
@@ -107,7 +110,8 @@ def _run_sweep(args, settings, header: str) -> None:
     """Train and evaluate one model per ``(name, model overrides)`` setting.
 
     Writes one ``name,acc,f1`` CSV row per setting, in ``settings`` order,
-    whatever the worker count.
+    whatever the worker count.  ``--out`` is opened before the first setting
+    trains, and a file it creates is removed again if the sweep fails.
     """
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
@@ -119,13 +123,19 @@ def _run_sweep(args, settings, header: str) -> None:
         metrics = evaluate(model, dataset)
         return metrics.accuracy, metrics.f1
 
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        results = list(pool.map(runner, settings))
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([header, "acc", "f1"])
-        for (name, _), (acc, f1) in zip(settings, results):
-            writer.writerow([name, f"{acc:.6f}", f"{f1:.6f}"])
+    created = not os.path.exists(args.out)
+    fh = open(args.out, "w", newline="")
+    try:
+        with fh, ThreadPoolExecutor(max_workers=args.threads) as pool:
+            results = list(pool.map(runner, settings))
+            writer = csv.writer(fh)
+            writer.writerow([header, "acc", "f1"])
+            for (name, _), (acc, f1) in zip(settings, results):
+                writer.writerow([name, f"{acc:.6f}", f"{f1:.6f}"])
+    except BaseException:
+        if created:
+            os.remove(args.out)
+        raise
 
 
 # -- commands ------------------------------------------------------------------
@@ -158,8 +168,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.tolerance < 0:
-        raise ConfigError(f"tolerance must be non-negative, got {args.tolerance}")
+    if not 0 <= args.tolerance < math.inf:
+        raise ConfigError(f"tolerance must be non-negative and finite, got {args.tolerance}")
     results = gradient_suite(seed=args.seed, seeds=args.seeds)
     failing = []
     for component, err in results.items():

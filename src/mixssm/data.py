@@ -220,6 +220,8 @@ def generate_synthetic(
         raise ValueError(f"per_class must be positive, got {per_class}")
     if size < 8:
         raise ValueError(f"size must be at least 8, got {size}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     os.makedirs(root, exist_ok=True)
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     names = []

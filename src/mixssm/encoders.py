@@ -217,8 +217,6 @@ class AttentionBranch(Module):
         rng: np.random.Generator,
         dtype=np.float32,
     ):
-        if heads < 1 or channels % heads:
-            raise ConfigError(f"heads={heads} must divide channels={channels}")
         head_dim = channels // heads
         self.heads = heads
         self.head_dim = head_dim
@@ -285,8 +283,6 @@ class SsmBranch(Module):
         rng: np.random.Generator,
         dtype=np.float32,
     ):
-        if state_dim < 1:
-            raise ConfigError(f"state_dim must be >= 1, got {state_dim}")
         self.state_dim = state_dim
         self.shared_directions = shared_directions
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .modules import Module, trunc_normal
 from .tensor import (
     Tensor,
@@ -40,10 +40,12 @@ __all__ = [
     "stack_branches",
     "POOLING_METHODS",
     "AGGREGATION_MODES",
+    "KERNEL_SIZES",
 ]
 
 POOLING_METHODS = ("average", "max", "l2", "stochastic")
 AGGREGATION_MODES = ("selective", "elementwise-max", "elementwise-average")
+KERNEL_SIZES = (1, 3, 5, 7)  # of the depthwise pre-pool kernel
 
 
 def stack_branches(branch_outputs: list[Tensor]) -> Tensor:
@@ -123,16 +125,6 @@ class SelectiveFusion(Module):
         rng: np.random.Generator,
         dtype=np.float32,
     ):
-        if n < 1:
-            raise ConfigError(f"need at least one strategy, got n={n}")
-        if reduction < 1 or channels % reduction:
-            raise ConfigError(f"reduction {reduction} must divide channels {channels}")
-        if kernel_size % 2 == 0 or kernel_size < 1:
-            raise ConfigError(f"pre-pool kernel size must be odd, got {kernel_size}")
-        if pooling not in POOLING_METHODS:
-            raise ConfigError(f"unknown pooling {pooling!r}; expected one of {POOLING_METHODS}")
-        if mode not in AGGREGATION_MODES:
-            raise ConfigError(f"unknown aggregation {mode!r}; expected one of {AGGREGATION_MODES}")
         self.n = n
         self.channels = channels
         self.pooling = pooling

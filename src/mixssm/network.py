@@ -16,7 +16,7 @@ import numpy as np
 
 from .encoders import AttentionBranch, ChannelMlpBranch, ConvBranch, SsmBranch
 from .errors import CheckpointError, ConfigError, ShapeError
-from .fusion import AGGREGATION_MODES, POOLING_METHODS, SelectiveFusion, selective_module
+from .fusion import AGGREGATION_MODES, KERNEL_SIZES, POOLING_METHODS, SelectiveFusion, selective_module
 from .modules import LayerNorm, Module, trunc_normal
 from .tensor import Tensor, add, matmul, reduce_mean, reshape, softmax, transpose
 
@@ -42,7 +42,8 @@ CHECKPOINT_VERSION = 1
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Complete architectural description of one model."""
+    """Complete architectural description of one model, and the one statement
+    of its rules: the modules a model is built from do not check them again."""
 
     input_size: tuple[int, int] = (224, 224)
     in_channels: int = 3
@@ -109,8 +110,8 @@ class ModelConfig:
                 raise ConfigError(f"reduction {self.reduction} must divide stage channels {c}")
         if self.state_dim < 1:
             raise ConfigError(f"state_dim must be >= 1, got {self.state_dim}")
-        if self.kernel_size not in (1, 3, 5, 7):
-            raise ConfigError(f"selective kernel size must be one of 1/3/5/7, got {self.kernel_size}")
+        if self.kernel_size not in KERNEL_SIZES:
+            raise ConfigError(f"selective kernel size must be one of {KERNEL_SIZES}, got {self.kernel_size}")
         if self.pooling not in POOLING_METHODS:
             raise ConfigError(f"unknown pooling {self.pooling!r}")
         if self.aggregation not in AGGREGATION_MODES:
@@ -238,7 +239,6 @@ class MixSsmBlock(Module):
         rng,
         dtype,
     ):
-        # with no branch enabled, SelectiveFusion(n=0) raises ConfigError
         self.branch_order = tuple(b for b in BRANCH_NAMES if b in branches)
         self.norm = LayerNorm(channels, dtype=dtype)
         build = {
@@ -360,57 +360,36 @@ class Model(Module):
 # -- checkpoint persistence ---------------------------------------------------
 
 
+def _directory(model: Model) -> list[dict]:
+    """The checkpoint's tensor directory: each parameter's name, shape, payload
+    byte offset and element count, back to back in ``named_parameters()`` order."""
+    entries, offset = [], 0
+    for name, p in model.named_parameters():
+        entries.append({"name": name, "shape": list(p.shape), "offset": offset, "length": p.size})
+        offset += 4 * p.size
+    return entries
+
+
 def save_checkpoint(model: Model, path: str) -> None:
     """Write magic, 8-byte LE header length, JSON header, then <f4 payload."""
-    entries = []
-    blobs = []
-    offset = 0
-    for name, p in model.named_parameters():
-        raw = np.ascontiguousarray(p.data, dtype="<f4").tobytes()
-        entries.append(
-            {"name": name, "shape": list(p.shape), "offset": offset, "length": p.size}
-        )
-        blobs.append(raw)
-        offset += len(raw)
-    header = json.dumps(
-        {
-            "version": CHECKPOINT_VERSION,
-            "config": dataclasses.asdict(model.config),
-            "tensors": entries,
-        },
-        sort_keys=True,
-    ).encode("utf-8")
+    fields = {"version": CHECKPOINT_VERSION, "config": dataclasses.asdict(model.config)}
+    header = json.dumps({**fields, "tensors": _directory(model)}, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(len(header).to_bytes(8, "little"))
         fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
-
-
-def _is_count(value) -> bool:
-    """A non-negative JSON integer (``true``/``false`` do not count)."""
-    return _is_int(value) and value >= 0
-
-
-def _is_tensor_entry(entry) -> bool:
-    return (
-        isinstance(entry, dict)
-        and isinstance(entry.get("name"), str)
-        and isinstance(entry.get("shape"), list)
-        and all(_is_count(d) for d in entry["shape"])
-        and _is_count(entry.get("offset"))
-        and _is_count(entry.get("length"))
-    )
+        for p in model.parameters():
+            fh.write(np.ascontiguousarray(p.data, dtype="<f4"))
 
 
 def load_checkpoint(path: str) -> Model:
     """Rebuild a model from a checkpoint, bit-exactly.
 
-    Every way the file can be malformed (unreadable, bad magic or version,
-    a tensor directory with missing, non-integer, negative, out-of-bounds or
-    overlapping entries, payload bytes no entry covers, non-finite values)
-    raises :class:`CheckpointError`.
+    The header's config must pass :class:`ModelConfig`, and its tensor
+    directory must be, as JSON, exactly the one :func:`save_checkpoint`
+    writes for that config.  Every way the file can be malformed
+    (unreadable, bad magic or version, any other directory, payload bytes
+    missing or left over, non-finite values) raises :class:`CheckpointError`.
     """
     try:
         with open(path, "rb") as fh:
@@ -435,49 +414,25 @@ def load_checkpoint(path: str) -> Model:
         entries = header["tensors"]
     except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from exc
-    if not isinstance(entries, list) or not all(_is_tensor_entry(e) for e in entries):
-        raise CheckpointError(
-            f"{path}: malformed tensor directory: each entry needs a name and "
-            "non-negative integer shape, offset and length"
-        )
 
     model = Model(config)
+    directory = _directory(model)
+    # compared as JSON text, so true or 1.0 never passes for an integer
+    if json.dumps(entries, sort_keys=True) != json.dumps(directory, sort_keys=True):
+        raise CheckpointError(
+            f"{path}: tensor directory does not match its config's names, shapes, offsets and lengths"
+        )
     # a view, not a copy, of the tensor bytes
     payload = memoryview(raw)[16 + header_len :]
-    params = dict(model.named_parameters())
-    if sorted(params) != sorted(e["name"] for e in entries):
-        raise CheckpointError(f"{path}: tensor directory does not match the model parameters")
-    # save_checkpoint writes the tensors back to back, so any gap, overlap or
-    # trailing byte means the file is corrupt
-    prev_end = 0
-    for entry in sorted(entries, key=lambda e: e["offset"]):
-        name, shape = entry["name"], tuple(entry["shape"])
-        length, offset = entry["length"], entry["offset"]
-        expected = 1
-        for d in shape:
-            expected *= d
-        if expected != length:
-            raise CheckpointError(
-                f"{path}: tensor {name} declares shape {shape} but length {length}"
-            )
-        if offset != prev_end:
-            raise CheckpointError(f"{path}: tensor {name} starts at payload byte {offset}, expected {prev_end}")
-        end = offset + 4 * length
-        if end > len(payload):
-            raise CheckpointError(f"{path}: truncated payload for tensor {name}")
-        prev_end = end
-        values = np.frombuffer(payload, "<f4", count=length, offset=offset).reshape(shape)
-        target = params[name]
-        if target.shape != shape:
-            raise CheckpointError(
-                f"{path}: tensor {name} has shape {shape}, model expects {target.shape}"
-            )
+    size = 4 * sum(entry["length"] for entry in directory)
+    if len(payload) < size:
+        raise CheckpointError(f"{path}: truncated payload, {size - len(payload)} bytes short")
+    if len(payload) > size:
+        raise CheckpointError(f"{path}: {len(payload) - size} payload bytes after the last tensor")
+    for entry, target in zip(directory, model.parameters()):
+        values = np.frombuffer(payload, "<f4", count=entry["length"], offset=entry["offset"])
         if not np.isfinite(values).all():
-            raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
+            raise CheckpointError(f"{path}: tensor {entry['name']} holds non-finite values")
         # a writable copy: the file's bytes are a read-only buffer
-        target.data = values.astype(model.dtype)
-    if prev_end != len(payload):
-        raise CheckpointError(
-            f"{path}: {len(payload) - prev_end} payload bytes after the last tensor"
-        )
+        target.data = values.reshape(target.shape).astype(model.dtype)
     return model

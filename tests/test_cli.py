@@ -261,6 +261,21 @@ def test_analyze_unknown_sweep_exits_1(workdir, capsys):
     assert "sweep" in capsys.readouterr().err
 
 
+def test_sweep_opens_out_before_training(workdir, monkeypatch, capsys):
+    calls = []
+
+    def fake_train(*args, **kwargs):
+        calls.append(args)
+        raise _Trained
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    out = str(workdir["root"] / "missing" / "x.csv")
+    assert main(["ablate", "--config", workdir["config"], "--data", workdir["data"], "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert calls == []
+
+
 def test_worker_count_below_one_exits_1(workdir, capsys):
     out = str(workdir["root"] / "no_workers.csv")
     sweep = ["analyze", "--config", workdir["config"], "--data", workdir["data"],
@@ -384,6 +399,11 @@ def _shift_offsets(header):
     return header
 
 
+def _length_as_float(header):
+    header["tensors"][0]["length"] = float(header["tensors"][0]["length"])
+    return header
+
+
 MALFORMED_HEADERS = {
     "header_is_list": lambda header: [header],
     "entry_is_int": lambda header: {**header, "tensors": [7] + header["tensors"][1:]},
@@ -392,6 +412,12 @@ MALFORMED_HEADERS = {
     "negative_offset": _set_entry(0, "offset", -4),
     "shared_offset": _shared_offset,
     "seed_is_string": lambda header: {**header, "config": {**header["config"], "seed": "x"}},
+    # equal under ==, but not the JSON save_checkpoint writes
+    "offset_is_false": _set_entry(0, "offset", False),
+    "length_is_float": _length_as_float,
+    # the directory must be exactly the one save_checkpoint writes
+    "entries_permuted": lambda header: {**header, "tensors": header["tensors"][::-1]},
+    "extra_entry_key": _set_entry(0, "dtype", "<f4"),
 }
 # (header mutation, payload mutation): payload bytes that no tensor covers
 MALFORMED_PAYLOADS = {
@@ -517,3 +543,41 @@ def test_config_data_path_fields_rejected(tmp_path, capsys):
     path.write_text(text)
     assert main(["emit-config", "--config", str(path)]) == 1
     assert "train_data" in capsys.readouterr().err
+
+
+# -- numeric flags -----------------------------------------------------------------------
+
+
+def _subcommands():
+    return next(a for a in cli._build_parser()._actions if a.dest == "command").choices
+
+
+# (subcommand, flag) for every int or float option, so a new flag is covered too
+NUMERIC_FLAGS = [
+    (name, action.option_strings[0])
+    for name, parser in _subcommands().items()
+    for action in parser._actions
+    if action.type in (int, float)
+]
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("a refused value reached training")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command, flag", NUMERIC_FLAGS)
+def test_numeric_flag_refuses_non_finite_and_negative_values(
+    command, flag, value, workdir, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "train", _no_training)
+    out = tmp_path / "out"
+    # what each subcommand needs besides the flag; the micro config matches the data
+    context = {"--config": workdir["config"], "--data": workdir["data"], "--out": str(out),
+               "--sweep": "kernel"}
+    options = {s for action in _subcommands()[command]._actions for s in action.option_strings}
+    given = [word for option, v in context.items() if option in options for word in (option, v)]
+    assert main([command, *given, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()

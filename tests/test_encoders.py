@@ -15,7 +15,7 @@ from mixssm.encoders import (
     linear_scan,
     selective_scan,
 )
-from mixssm.errors import ConfigError, ShapeError
+from mixssm.errors import ShapeError
 from mixssm.gradcheck import finite_diff_check
 from mixssm.tensor import (
     Tensor,
@@ -154,11 +154,6 @@ def test_attention_rows_sum_to_one():
     branch = AttentionBranch(8, heads=2, rng=rng, dtype=np.float64)
     attn = branch.attention(rand64(rng, (3, 4, 8))).data
     assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-6
-
-
-def test_attention_head_count_must_divide_channels():
-    with pytest.raises(ConfigError):
-        AttentionBranch(6, heads=4, rng=np.random.default_rng(0))
 
 
 # -- channel MLP branch -------------------------------------------------------------
@@ -433,11 +428,6 @@ def test_ssm_branch_matches_list_based_path_bitwise(shared):
         grads.append([out.data, v.grad] + [p.grad for p in branch.parameters()])
     for got, want in zip(*grads):
         assert np.array_equal(got, want)
-
-
-def test_state_dim_must_be_positive():
-    with pytest.raises(ConfigError):
-        SsmBranch(4, state_dim=0, rng=np.random.default_rng(0))
 
 
 # -- shared shape contract ---------------------------------------------------------------

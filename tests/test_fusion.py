@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from mixssm.errors import ConfigError, ShapeError
+from mixssm.errors import ShapeError
 from mixssm.fusion import (
     SelectiveFusion,
     pool_global,
@@ -355,17 +355,3 @@ def test_selective_module_matches_list_based_path(mode, n):
             assert got is None
         else:
             assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
-
-
-def test_fusion_configuration_validation():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ConfigError):
-        SelectiveFusion(8, n=0, rng=rng)
-    with pytest.raises(ConfigError):
-        SelectiveFusion(8, n=4, reduction=3, rng=rng)
-    with pytest.raises(ConfigError):
-        SelectiveFusion(8, n=4, kernel_size=2, rng=rng)
-    with pytest.raises(ConfigError):
-        SelectiveFusion(8, n=4, pooling="median", rng=rng)
-    with pytest.raises(ConfigError):
-        SelectiveFusion(8, n=4, mode="geometric", rng=rng)

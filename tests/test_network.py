@@ -158,11 +158,6 @@ def test_block_preserves_shape_with_batch_axes():
     assert block(v).shape == (2, 4, 4, 8)
 
 
-def test_block_without_branches_is_a_config_error():
-    with pytest.raises(ConfigError):
-        make_block(())
-
-
 # -- patch merging -------------------------------------------------------------------
 
 
@@ -275,6 +270,14 @@ def test_config_rejects_bad_geometry():
         micro_config(heads=(3, 2))
     with pytest.raises(ConfigError):
         micro_config(kernel_size=4)
+    with pytest.raises(ConfigError):
+        micro_config(reduction=3)
+    with pytest.raises(ConfigError):
+        micro_config(pooling="median")
+    with pytest.raises(ConfigError):
+        micro_config(aggregation="geometric")
+    with pytest.raises(ConfigError):
+        micro_config(state_dim=0)
     with pytest.raises(ConfigError):
         dataclasses.replace(desk_config(), input_size=(8, 8))  # embedded grid not divisible
 
