@@ -44,7 +44,11 @@ print("column-major order:", seqs.data[2, :, 0].tolist())
 merged = cross_merge(seqs, 2, 3)
 print("merge(scan(V)) == 4V:", np.array_equal(merged.data, 4 * tiny.data))
 
-# Attention rows are probability distributions over the token grid.
-attn = branches["attention (global mixing)"].attention(v)
-print("attention matrix shape (heads, T, T):", attn.shape)
-print("every row sums to one:", np.allclose(attn.data.sum(-1), 1.0, atol=1e-6))
+# Full attention has no notion of position: permuting the tokens permutes
+# its output the same way.
+attention = branches["attention (global mixing)"]
+perm = rng.permutation(H * W)
+shuffled = Tensor(v.data.reshape(H * W, C)[perm].reshape(H, W, C))
+out = attention(v).data.reshape(H * W, C)
+out_shuffled = attention(shuffled).data.reshape(H * W, C)
+print("permuting the tokens permutes the output:", np.allclose(out_shuffled, out[perm], atol=1e-5))

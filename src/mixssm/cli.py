@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 
 from .config import TRAIN_FIELDS, RunConfig, emit_config, load_config_file
 from .data import Dataset, generate_synthetic, load_image_folder
@@ -100,6 +101,21 @@ def _format_metrics(metrics: Metrics) -> str:
     )
 
 
+@contextmanager
+def _claimed(path: str):
+    """Create ``path`` before the work in the block, so an unwritable path
+    fails before any of it is done.  An existing file is kept as it is; a file
+    the claim created is removed again if the block fails."""
+    created = not os.path.exists(path)
+    open(path, "a").close()
+    try:
+        yield
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
+
+
 def _fit(run: RunConfig, config: ModelConfig, dataset: Dataset):
     """Train a fresh ``Model(config)`` with the training fields of ``run``."""
     training = {name: getattr(run, name) for name in TRAIN_FIELDS}
@@ -110,8 +126,8 @@ def _run_sweep(args, settings, header: str) -> None:
     """Train and evaluate one model per ``(name, model overrides)`` setting.
 
     Writes one ``name,acc,f1`` CSV row per setting, in ``settings`` order,
-    whatever the worker count.  ``--out`` is opened before the first setting
-    trains, and a file it creates is removed again if the sweep fails.
+    whatever the worker count, once every setting is done; ``--out`` is
+    claimed (:func:`_claimed`) before the first setting trains.
     """
     if args.threads < 1:
         raise ConfigError(f"--threads must be at least 1, got {args.threads}")
@@ -123,19 +139,14 @@ def _run_sweep(args, settings, header: str) -> None:
         metrics = evaluate(model, dataset)
         return metrics.accuracy, metrics.f1
 
-    created = not os.path.exists(args.out)
-    fh = open(args.out, "w", newline="")
-    try:
-        with fh, ThreadPoolExecutor(max_workers=args.threads) as pool:
+    with _claimed(args.out):
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
             results = list(pool.map(runner, settings))
+        with open(args.out, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow([header, "acc", "f1"])
             for (name, _), (acc, f1) in zip(settings, results):
                 writer.writerow([name, f"{acc:.6f}", f"{f1:.6f}"])
-    except BaseException:
-        if created:
-            os.remove(args.out)
-        raise
 
 
 # -- commands ------------------------------------------------------------------
@@ -143,9 +154,11 @@ def _run_sweep(args, settings, header: str) -> None:
 
 def cmd_train(args) -> int:
     run, dataset = _training_run(args)
-    model, records = _fit(run, run.model, dataset)
-    save_checkpoint(model, args.out)
-    _write_epoch_log(args.out + ".log.csv", records)
+    log = args.out + ".log.csv"
+    with _claimed(args.out), _claimed(log):
+        model, records = _fit(run, run.model, dataset)
+        save_checkpoint(model, args.out)
+        _write_epoch_log(log, records)
     for rec in records:
         print(f"epoch {rec.epoch}: mean_loss={rec.mean_loss:.6f} train_acc={rec.train_acc:.6f}")
     print(f"checkpoint written to {args.out}")
@@ -155,11 +168,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.ckpt)
     dataset = load_image_folder(args.data, model.config.input_size)
-    metrics = evaluate(model, dataset)
-    text = _format_metrics(metrics)
-    if args.metrics_out:
-        with open(args.metrics_out, "w") as fh:
-            fh.write(text)
+    with _claimed(args.metrics_out) if args.metrics_out else nullcontext():
+        metrics = evaluate(model, dataset)
+        if args.metrics_out:
+            with open(args.metrics_out, "w") as fh:
+                fh.write(_format_metrics(metrics))
     print(
         f"acc={metrics.accuracy:.4f} prec={metrics.precision:.4f} "
         f"rec={metrics.recall:.4f} f1={metrics.f1:.4f}"

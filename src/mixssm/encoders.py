@@ -62,13 +62,6 @@ def _activation(name: str):
 # -- directional unrolling ---------------------------------------------------
 
 
-def _take(x: Tensor, axis: int, start: int, stop: int | None = None) -> Tensor:
-    """Entries start:stop (start:start+1 by default) of ``x`` along ``axis``."""
-    key = [slice(None)] * x.ndim
-    key[axis] = slice(start, start + 1 if stop is None else stop)
-    return slice_(x, tuple(key))
-
-
 def cross_scan(v: Tensor) -> Tensor:
     """Unroll a (..., H, W, C) map into four 1-d traversals, stacked (..., 4, H*W, C).
 
@@ -92,9 +85,9 @@ def cross_merge(seqs: Tensor, h: int, w: int) -> Tensor:
     *lead, _, t, c = seqs.shape
     # (row-major | column-major) x (forward | reversed)
     pairs = reshape(seqs, (*lead, 2, 2, t, c))
-    both = add(_take(pairs, -3, 0), flip(_take(pairs, -3, 1), axis=-2))
-    rows = reshape(_take(both, -4, 0), (*lead, h, w, c))
-    cols = reshape(_take(both, -4, 1), (*lead, w, h, c))
+    both = add(slice_(pairs, -3, 0, 1), flip(slice_(pairs, -3, 1, 2), axis=-2))
+    rows = reshape(slice_(both, -4, 0, 1), (*lead, h, w, c))
+    cols = reshape(slice_(both, -4, 1, 2), (*lead, w, h, c))
     return add(rows, transpose(cols, (1, 0, 2)))
 
 
@@ -133,23 +126,23 @@ def _odd_even_scan(a: Tensor, b: Tensor, axis: int) -> Tensor:
         pad_shape = (*lead, 1, *b.shape[axis + 1:])
         a = concat([a, Tensor(np.ones(pad_shape, dtype=a.dtype))], axis)
         padded = concat([b, Tensor(np.zeros(pad_shape, dtype=b.dtype))], axis)
-        return _take(_odd_even_scan(a, padded, axis), axis, 0, t)
+        return slice_(_odd_even_scan(a, padded, axis), axis, 0, t)
     half = t // 2
     pair_shape = (*lead, half, 2, *b.shape[-2:])
     a_pairs, b_pairs = reshape(a, pair_shape), reshape(b, pair_shape)
     # (..., half, 1, C, N): the first and the second step of each pair
-    a1 = _take(a_pairs, axis + 1, 1)
-    b0, b1 = _take(b_pairs, axis + 1, 0), _take(b_pairs, axis + 1, 1)
+    a1 = slice_(a_pairs, axis + 1, 1, 2)
+    b0, b1 = slice_(b_pairs, axis + 1, 0, 1), slice_(b_pairs, axis + 1, 1, 2)
     odd_b = add(mul(a1, b0), b1)
     if half == 1:
         # the only odd step is the pair itself; the even step has no predecessor
         h_even, h_odd = b0, odd_b
     else:
-        a0 = _take(a_pairs, axis + 1, 0)
+        a0 = slice_(a_pairs, axis + 1, 0, 1)
         h_odd = _odd_even_scan(mul(a1, a0), odd_b, axis)
         # each even step continues from the odd step before it (h = 0 before the first)
         zero = Tensor(np.zeros((*lead, 1, *h_odd.shape[axis + 1:]), dtype=b.dtype))
-        before = concat([zero, _take(h_odd, axis, 0, half - 1)], axis)
+        before = concat([zero, slice_(h_odd, axis, 0, half - 1)], axis)
         h_even = add(mul(a0, before), b0)
     return reshape(concat([h_even, h_odd], axis + 1), b.shape)
 
@@ -202,8 +195,7 @@ class ConvBranch(Module):
         self.act = activation
 
     def __call__(self, v: Tensor) -> Tensor:
-        out = conv2d(v, self.weight, self.bias)
-        return _activation(self.act)(out)
+        return _activation(self.act)(add(conv2d(v, self.weight), self.bias))
 
 
 class AttentionBranch(Module):
@@ -225,7 +217,7 @@ class AttentionBranch(Module):
         self.v_proj = Tensor(trunc_normal(rng, (heads, channels, head_dim), dtype=dtype), requires_grad=True)
         self.out_proj = Tensor(trunc_normal(rng, (channels, channels), dtype=dtype), requires_grad=True)
 
-    def _attend(self, v: Tensor) -> tuple[Tensor, Tensor]:
+    def __call__(self, v: Tensor) -> Tensor:
         *lead, h, w, c = v.shape
         t = h * w
         x = reshape(v, (*lead, 1, t, c))
@@ -234,20 +226,9 @@ class AttentionBranch(Module):
         vals = matmul(x, self.v_proj)
         scale = Tensor(np.asarray(1.0 / math.sqrt(self.head_dim), dtype=v.dtype))
         scores = mul(matmul(q, transpose(k, (1, 0))), scale)
-        attn = softmax(scores, axis=-1)
-        mixed = matmul(attn, vals)
+        mixed = matmul(softmax(scores, axis=-1), vals)
         merged = reshape(transpose(mixed, (1, 0, 2)), (*lead, t, self.heads * self.head_dim))
-        out = reshape(matmul(merged, self.out_proj), (*lead, h, w, c))
-        return out, attn
-
-    def __call__(self, v: Tensor) -> Tensor:
-        out, _ = self._attend(v)
-        return out
-
-    def attention(self, v: Tensor) -> Tensor:
-        """Row-stochastic attention matrices, shape (..., heads, T, T)."""
-        _, attn = self._attend(v)
-        return attn
+        return reshape(matmul(merged, self.out_proj), (*lead, h, w, c))
 
 
 class ChannelMlpBranch(Module):
@@ -284,7 +265,6 @@ class SsmBranch(Module):
         dtype=np.float32,
     ):
         self.state_dim = state_dim
-        self.shared_directions = shared_directions
 
         rates = -np.tile(np.arange(1.0, state_dim + 1.0), (channels, 1))
         self.log_decay_rates = Tensor(rates.astype(dtype), requires_grad=True)

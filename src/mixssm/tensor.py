@@ -345,14 +345,10 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
     return _result("transpose", out, (x,), backward)
 
 
-def slice_(x: Tensor, key: tuple[slice, ...]) -> Tensor:
-    if not isinstance(key, tuple):
-        key = (key,)
-    if len(key) > x.ndim:
-        raise ShapeError(f"slice: {len(key)} indices for shape {x.shape}")
-    for s in key:
-        if not isinstance(s, slice) or s.step not in (None, 1):
-            raise ShapeError("slice supports contiguous slices only")
+def slice_(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    """Entries ``start:stop`` of ``x`` along ``axis``."""
+    axis = _axis("slice", axis, x.ndim)
+    key = (slice(None),) * axis + (slice(start, stop),)
     out = x.data[key]
     x_shape, x_dtype = x.shape, x.dtype
 
@@ -546,14 +542,15 @@ def reduce_max(x: Tensor, axis=None) -> Tensor:
     return _result("reduce_max", out, (x,), backward)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def conv2d(x: Tensor, w: Tensor) -> Tensor:
     """Stride-1 2-D convolution over the two axes before the trailing channel
     axis, zero-padded so the output keeps the input's H x W.
 
     ``x``: (..., H, W, C_in).  A (kh, kw, C_in, C_out) kernel is dense, a
     (kh, kw, 1, C_in) kernel depthwise (at C_in = 1 the two are the same sum);
     any other shape raises :class:`ShapeError`.  An even kernel side puts its
-    extra row or column of padding after the map.
+    extra row or column of padding after the map.  There is no bias: a layer
+    adds its own.
     """
     if x.ndim < 3:
         raise ShapeError(f"conv2d: input must be at least 3-d, got {x.shape}")
@@ -562,54 +559,39 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 
     h, wdt, cin = x.shape[-3:]
     kh, kw, kin, cout = w.shape
-    depthwise = kin != cin
-    if depthwise and (kin, cout) != (1, cin):
+    # per tap: the contraction of a window xs with kernel slice k, and its two adjoints
+    if kin == cin:
+        def apply(xs, k): return xs @ k
+        def grad_x(g, k): return g @ k.T
+        def grad_k(xs, g): return np.tensordot(xs, g, axes=([0, 1, 2], [0, 1, 2]))
+    elif (kin, cout) == (1, cin):
+        def apply(xs, k): return xs * k[0]
+        def grad_x(g, k): return g * k[0]
+        def grad_k(xs, g): return (xs * g).sum(axis=(0, 1, 2))
+    else:
         raise ShapeError(f"conv2d: kernel {w.shape} is neither dense nor depthwise for {cin} channels")
-    if b is not None and b.shape != (cout,):
-        raise ShapeError(f"conv2d: bias shape {b.shape} does not match {cout} output channels")
 
     pt, pl = (kh - 1) // 2, (kw - 1) // 2
     xb = x.data.reshape((-1, h, wdt, cin))
     xp = np.pad(xb, ((0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl), (0, 0)))
     w_data = w.data
+    taps = [(m, n) for m in range(kh) for n in range(kw)]
 
     def tap(arr, m, n):
         return arr[:, m : m + h, n : n + wdt, :]
 
     out = np.zeros((xb.shape[0], h, wdt, cout), dtype=x.dtype)
-    if depthwise:
-        for m in range(kh):
-            for n in range(kw):
-                out += tap(xp, m, n) * w_data[m, n, 0]
-    else:
-        for m in range(kh):
-            for n in range(kw):
-                out += tap(xp, m, n) @ w_data[m, n]
-    if b is not None:
-        out = out + b.data
+    for m, n in taps:
+        out += apply(tap(xp, m, n), w_data[m, n])
     x_shape = x.shape
-    out = out.reshape(x_shape[:-1] + (cout,))
-    has_bias = b is not None
 
     def backward(g):
         gb4 = g.reshape((-1, h, wdt, cout))
         gxp = np.zeros_like(xp)
         gw = np.zeros_like(w_data)
-        if depthwise:
-            for m in range(kh):
-                for n in range(kw):
-                    xs = tap(xp, m, n)
-                    gw[m, n, 0] = (xs * gb4).sum(axis=(0, 1, 2))
-                    tap(gxp, m, n)[...] += gb4 * w_data[m, n, 0]
-        else:
-            for m in range(kh):
-                for n in range(kw):
-                    xs = tap(xp, m, n)
-                    gw[m, n] = np.tensordot(xs, gb4, axes=([0, 1, 2], [0, 1, 2]))
-                    tap(gxp, m, n)[...] += gb4 @ w_data[m, n].T
-        gx = gxp[:, pt : pt + h, pl : pl + wdt, :].reshape(x_shape)
-        if has_bias:
-            return gx, gw, gb4.sum(axis=(0, 1, 2))
-        return gx, gw
+        for m, n in taps:
+            gw[m, n] = grad_k(tap(xp, m, n), gb4)
+            tap(gxp, m, n)[...] += grad_x(gb4, w_data[m, n])
+        return gxp[:, pt : pt + h, pl : pl + wdt, :].reshape(x_shape), gw
 
-    return _result("conv2d", out, (x, w, b) if has_bias else (x, w), backward)
+    return _result("conv2d", out.reshape(x_shape[:-1] + (cout,)), (x, w), backward)

@@ -1,6 +1,8 @@
 """Reference implementations the tests compare the library against: direct
 loops over the documented equations, with no vectorization to share a bug."""
 
+import math
+
 import numpy as np
 
 
@@ -19,6 +21,25 @@ def naive_selective_scan(u, p):
         h = decay * h + drive
         y[..., t, :] = (h * c_tok[..., t, None, :]).sum(-1) + p.skip_gain.data * u[..., t, :]
     return y
+
+
+def naive_attention(x, wq, wk, wv, wo):
+    """Multi-head self-attention over the tokens of ``x`` (..., T, C), one
+    leading index and one head at a time.  ``wq``, ``wk``, ``wv`` are
+    (heads, C, d); the heads' outputs are joined in head order and mixed by
+    ``wo`` (heads * d, C_out)."""
+    heads, _, d = wq.shape
+    out = np.zeros(x.shape[:-1] + (wo.shape[-1],))
+    for idx in np.ndindex(*x.shape[:-2]):
+        tokens = x[idx]
+        mixed = []
+        for head in range(heads):
+            q, k, v = tokens @ wq[head], tokens @ wk[head], tokens @ wv[head]
+            scores = q @ k.T / math.sqrt(d)
+            e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+            mixed.append(e / e.sum(axis=-1, keepdims=True) @ v)
+        out[idx] = np.concatenate(mixed, axis=-1) @ wo
+    return out
 
 
 def five_loop_conv_same(x, w, b):

@@ -276,6 +276,40 @@ def test_sweep_opens_out_before_training(workdir, monkeypatch, capsys):
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_train_and_eval_claim_their_outputs_before_working(command, workdir, tmp_path,
+                                                           monkeypatch, capsys):
+    calls = []
+
+    def work(*args, **kwargs):
+        calls.append(args)
+        raise ConfigError("the work started")
+
+    monkeypatch.setattr(cli, {"train": "train", "eval": "evaluate"}[command], work)
+    ckpt = str(tmp_path / "m.ckpt")
+    save_checkpoint(Model(micro_model_config()), ckpt)
+    missing = str(tmp_path / "missing" / "out")
+    flags = {"train": ["--config", workdir["config"], "--out", missing],
+             "eval": ["--ckpt", ckpt, "--metrics-out", missing]}[command]
+    assert main([command, "--data", workdir["data"], *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert calls == []
+
+
+def test_failed_sweep_keeps_an_existing_out(workdir, tmp_path, monkeypatch, capsys):
+    def failing_train(*args, **kwargs):
+        raise ConfigError("training failed")
+
+    monkeypatch.setattr(cli, "train", failing_train)
+    out = tmp_path / "ablate.csv"
+    out.write_bytes(b"config,acc,f1\nfull,0.5,0.5\n")
+    assert main(["ablate", "--config", workdir["config"], "--data", workdir["data"],
+                 "--out", str(out)]) == 1
+    assert "training failed" in capsys.readouterr().err
+    assert out.read_bytes() == b"config,acc,f1\nfull,0.5,0.5\n"
+
+
 def test_worker_count_below_one_exits_1(workdir, capsys):
     out = str(workdir["root"] / "no_workers.csv")
     sweep = ["analyze", "--config", workdir["config"], "--data", workdir["data"],

@@ -1,5 +1,5 @@
-"""Each narrative demo runs to completion as a script and leaves no
-temporary files behind."""
+"""Each narrative demo runs to completion as a script, passes every
+self-check it prints and leaves no temporary files behind."""
 
 import glob
 import os
@@ -28,4 +28,6 @@ def test_demo_runs(demo, tmp_path):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    # a demo prints each of its self-checks as "<claim>: True"
+    assert "False" not in proc.stdout, proc.stdout
     assert os.listdir(tmp_path) == []

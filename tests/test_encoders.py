@@ -32,7 +32,7 @@ from mixssm.tensor import (
     transpose,
 )
 
-from oracles import five_loop_conv_same, naive_selective_scan
+from oracles import five_loop_conv_same, naive_attention, naive_selective_scan
 
 
 def t64(values):
@@ -96,7 +96,7 @@ def test_conv_branch_1x1_kernel_commutes_with_spatial_permutation():
     bias = t64(np.zeros(3))
 
     def branch(x):
-        return gelu(conv2d(x, weight, bias))
+        return gelu(add(conv2d(x, weight), bias))
 
     v = rng.standard_normal((2, 4, 3))
     perm = rng.permutation(8)
@@ -112,48 +112,38 @@ def test_attention_single_token():
     rng = np.random.default_rng(3)
     branch = AttentionBranch(4, heads=1, rng=rng, dtype=np.float64)
     v = rand64(rng, (1, 1, 4))
-    attn = branch.attention(v)
-    assert attn.shape == (1, 1, 1) and np.allclose(attn.data, 1.0)
     want = (v.data.reshape(1, 4) @ branch.v_proj.data[0]) @ branch.out_proj.data
     assert np.allclose(branch(v).data.reshape(1, 4), want)
 
 
-def test_attention_identical_tokens_give_uniform_rows():
+def test_attention_identical_tokens_give_identical_outputs():
     rng = np.random.default_rng(4)
     branch = AttentionBranch(6, heads=2, rng=rng, dtype=np.float64)
     token = rng.standard_normal(6)
-    v = t64(np.tile(token, (2, 3, 1)))
-    attn = branch.attention(v).data
-    assert np.allclose(attn, 1.0 / 6.0)
+    out = branch(t64(np.tile(token, (2, 3, 1)))).data.reshape(6, 6)
+    assert np.allclose(out, out[0])
 
 
-def two_token_attention_oracle(x, wq, wk, wv, wo):
-    """Eqs. written out by hand for one head and two tokens."""
-    q, k, v = x @ wq, x @ wk, x @ wv
-    d = q.shape[-1]
-    scores = q @ k.T / math.sqrt(d)
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
-    return (attn @ v) @ wo
+def attention_oracle(branch, v):
+    """``naive_attention`` on the tokens of a (..., H, W, C) map, shaped back onto the map."""
+    x = v.reshape(v.shape[:-3] + (-1, v.shape[-1]))
+    weights = (branch.q_proj.data, branch.k_proj.data, branch.v_proj.data, branch.out_proj.data)
+    return naive_attention(x, *weights).reshape(v.shape)
 
 
 def test_attention_two_tokens_matches_oracle():
     rng = np.random.default_rng(5)
     branch = AttentionBranch(4, heads=1, rng=rng, dtype=np.float64)
-    x = rng.standard_normal((2, 4))
-    got = branch(t64(x.reshape(2, 1, 4))).data.reshape(2, 4)
-    want = two_token_attention_oracle(
-        x, branch.q_proj.data[0], branch.k_proj.data[0], branch.v_proj.data[0],
-        branch.out_proj.data,
-    )
-    assert np.abs(got - want).max() < 1e-6
+    x = rng.standard_normal((2, 1, 4))
+    assert np.abs(branch(t64(x)).data - attention_oracle(branch, x)).max() < 1e-12
 
 
-def test_attention_rows_sum_to_one():
+@pytest.mark.parametrize("shape", [(3, 4, 8), (2, 3, 2, 8)])
+def test_attention_matches_naive_oracle(shape):
     rng = np.random.default_rng(6)
     branch = AttentionBranch(8, heads=2, rng=rng, dtype=np.float64)
-    attn = branch.attention(rand64(rng, (3, 4, 8))).data
-    assert np.abs(attn.sum(axis=-1) - 1.0).max() < 1e-6
+    v = rng.standard_normal(shape)
+    assert np.abs(branch(t64(v)).data - attention_oracle(branch, v)).max() < 1e-12
 
 
 # -- channel MLP branch -------------------------------------------------------------
@@ -251,12 +241,6 @@ def doubling_scan(decay, x):
     """The log2(T)-round doubling scan that the odd-even scan replaced (reference only)."""
     axis = x.ndim - 3
     t = x.shape[axis]
-
-    def take(v, stop):
-        key = [slice(None)] * v.ndim
-        key[axis] = slice(0, stop)
-        return slice_(v, tuple(key))
-
     a, b = decay, x
     step = 1
     while step < t:
@@ -264,8 +248,8 @@ def doubling_scan(decay, x):
         head_shape[axis] = step
         ones_head = Tensor(np.ones(head_shape, dtype=a.dtype))
         zeros_head = Tensor(np.zeros(head_shape, dtype=a.dtype))
-        a_prev = concat([ones_head, take(a, t - step)], axis)
-        b_prev = concat([zeros_head, take(b, t - step)], axis)
+        a_prev = concat([ones_head, slice_(a, axis, 0, t - step)], axis)
+        b_prev = concat([zeros_head, slice_(b, axis, 0, t - step)], axis)
         b = add(b, mul(a, b_prev))
         a = mul(a, a_prev)
         step *= 2
@@ -405,9 +389,7 @@ def list_based_ssm_branch(branch, v):
     scanned = selective_scan(concat([reshape(s, (*lead, 1, t, c)) for s in seqs], axis=-3), branch)
     outs = []
     for k in range(4):
-        key = [slice(None)] * scanned.ndim
-        key[nl] = slice(k, k + 1)
-        outs.append(reshape(slice_(scanned, tuple(key)), (*lead, t, c)))
+        outs.append(reshape(slice_(scanned, nl, k, k + 1), (*lead, t, c)))
     g1 = reshape(outs[0], (*lead, h, w, c))
     g2 = reshape(flip(outs[1], axis=-2), (*lead, h, w, c))
     g3 = transpose(reshape(outs[2], (*lead, w, h, c)), to_cols)

@@ -330,9 +330,7 @@ def list_based_selective_module(maps, params, rng=None):
     lead, c = weights.shape[:-2], weights.shape[-2]
     acc = None
     for m, f in enumerate(maps):
-        key = [slice(None)] * weights.ndim
-        key[-1] = slice(m, m + 1)
-        term = mul(reshape(slice_(weights, tuple(key)), (*lead, 1, 1, c)), f)
+        term = mul(reshape(slice_(weights, -1, m, m + 1), (*lead, 1, 1, c)), f)
         acc = term if acc is None else add(acc, term)
     return acc
 

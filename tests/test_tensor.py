@@ -178,19 +178,19 @@ PRIMITIVE_CASES = [
     ("matmul_batched", lambda rng: rng.standard_normal((2, 3, 4)),
      lambda x, c: matmul(x, c((4, 2)))),
     ("conv2d_input", lambda rng: rng.standard_normal((4, 4, 3)),
-     lambda x, c: conv2d(x, c((3, 3, 3, 2)), c((2,)))),
+     lambda x, c: conv2d(x, c((3, 3, 3, 2)))),
     ("conv2d_kernel", lambda rng: rng.standard_normal((3, 3, 3, 2)),
-     lambda x, c: conv2d(c((4, 4, 3)), x, c((2,)))),
-    ("conv2d_bias", lambda rng: rng.standard_normal(2),
-     lambda x, c: conv2d(c((4, 4, 3)), c((3, 3, 3, 2)), x)),
+     lambda x, c: conv2d(c((4, 4, 3)), x)),
     ("conv2d_depthwise", lambda rng: rng.standard_normal((4, 4, 3)),
      lambda x, c: conv2d(x, c((3, 3, 1, 3)))),
+    ("conv2d_depthwise_kernel", lambda rng: rng.standard_normal((3, 3, 1, 3)),
+     lambda x, c: conv2d(c((4, 4, 3)), x)),
     ("reshape", lambda rng: rng.standard_normal((3, 4)),
      lambda x, c: reshape(x, (2, 6))),
     ("transpose", lambda rng: rng.standard_normal((2, 3, 4)),
      lambda x, c: transpose(x, (2, 0, 1))),
     ("slice", lambda rng: rng.standard_normal((4, 5)),
-     lambda x, c: slice_(x, (slice(1, 3), slice(0, 4)))),
+     lambda x, c: slice_(x, 1, 1, 4)),
     ("concat", lambda rng: rng.standard_normal((2, 3)),
      lambda x, c: concat([x, c((2, 3)), x], axis=1)),
     ("flip", lambda rng: rng.standard_normal((3, 4)),
@@ -260,7 +260,7 @@ def test_structural_ops_and_their_backward_rules_return_views():
     outs = {
         "reshape": reshape(x, (6, 4)),
         "transpose": transpose(x, (2, 0, 1)),
-        "slice": slice_(x, (slice(None), slice(1, 3))),
+        "slice": slice_(x, -2, 1, 3),
         "flip": flip(x, axis=1),
         "concat": concat([x, x], axis=2),
     }
@@ -339,6 +339,7 @@ OUT_OF_RANGE_AXIS_CASES = {
     "reduce_max": lambda x: reduce_max(x, axis=5),
     "softmax": lambda x: softmax(x, axis=3),
     "flip": lambda x: flip(x, -3),
+    "slice": lambda x: slice_(x, 2, 0, 1),
 }
 
 
@@ -371,7 +372,6 @@ MIXED_PRECISION_CASES = {
     "layer_norm_scale": lambda: layer_norm(f32((2, 3)), f64((3,)), f32((3,))),
     "conv2d_kernel": lambda: conv2d(f32((4, 4, 2)), f64((3, 3, 2, 2))),
     "conv2d_depthwise_kernel": lambda: conv2d(f32((4, 4, 2)), f64((3, 3, 1, 2))),
-    "conv2d_bias": lambda: conv2d(f32((4, 4, 2)), f32((3, 3, 2, 2)), f64((2,))),
 }
 
 
