@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 from .modules import Module, trunc_normal
 from .tensor import (
     Tensor,
@@ -51,12 +51,6 @@ __all__ = [
 ]
 
 _ACTIVATIONS = {"gelu": gelu, "identity": lambda t: t}
-
-
-def _activation(name: str):
-    if name not in _ACTIVATIONS:
-        raise ConfigError(f"unknown activation {name!r}; expected one of {sorted(_ACTIVATIONS)}")
-    return _ACTIVATIONS[name]
 
 
 # -- directional unrolling ---------------------------------------------------
@@ -195,7 +189,7 @@ class ConvBranch(Module):
         self.act = activation
 
     def __call__(self, v: Tensor) -> Tensor:
-        return _activation(self.act)(add(conv2d(v, self.weight), self.bias))
+        return _ACTIVATIONS[self.act](add(conv2d(v, self.weight), self.bias))
 
 
 class AttentionBranch(Module):

@@ -95,12 +95,6 @@ def selective_combine(stacked: Tensor, weights: Tensor) -> Tensor:
     ``stacked`` holds the n maps as (n, ..., H, W, C); ``weights`` is (..., C, n).
     """
     n, c = stacked.shape[0], stacked.shape[-1]
-    if weights.shape[-1] != n:
-        raise ShapeError(
-            f"selective_combine: {n} branch outputs but weights have {weights.shape[-1]} columns"
-        )
-    if weights.shape[-2] != c:
-        raise ShapeError(f"selective_combine: weights cover {weights.shape[-2]} channels, maps have {c}")
     lead = weights.shape[:-2]
     per_branch = transpose(weights, (weights.ndim - 1, *range(weights.ndim - 1)))
     return reduce_sum(mul(reshape(per_branch, (n, *lead, 1, 1, c)), stacked), axis=0)

@@ -66,9 +66,7 @@ def check_parameter_gradients(
 
     for p in params:
         p.grad = None
-    loss = loss_fn()
-    _scalar(loss)
-    loss.backward()
+    loss_fn().backward()
 
     worst = 0.0
     with no_grad():

@@ -176,8 +176,6 @@ def space_to_depth(x: Tensor, p: int) -> Tensor:
     (..., H/p, W/p, p*p*C), each flattened in (row in patch, column in patch,
     channel) order.  Raises :class:`ShapeError` unless p divides H and W."""
     *lead, h, w, c = x.shape
-    if h % p or w % p:
-        raise ShapeError(f"a {h}x{w} map does not split into {p}x{p} patches")
     grouped = reshape(x, (*lead, h // p, p, w // p, p, c))
     return reshape(transpose(grouped, (0, 2, 1, 3, 4)), (*lead, h // p, w // p, p * p * c))
 

@@ -85,9 +85,8 @@ def no_grad() -> Iterator[None]:
 class TapeNode:
     """One recorded primitive: op name, input tensors and the backward rule.
 
-    ``backward_fn`` maps the output gradient to per-input gradients (``None``
-    for inputs that do not take one).  Saved intermediates live in the
-    closure of ``backward_fn``.
+    ``backward_fn`` maps the output gradient to one gradient per input.
+    Saved intermediates live in the closure of ``backward_fn``.
     """
 
     __slots__ = ("op", "inputs", "backward_fn")
@@ -186,12 +185,10 @@ class Tensor:
 
         grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
         for t in reversed(topo):
-            g = grads.pop(id(t), None)
-            if g is None:
-                continue
+            # every node here lies on a path to ``self``, so it holds a gradient
             node = t.node
-            for inp, ig in zip(node.inputs, node.backward_fn(g)):
-                if ig is None or not inp.requires_grad:
+            for inp, ig in zip(node.inputs, node.backward_fn(grads.pop(id(t)))):
+                if not inp.requires_grad:
                     continue
                 if inp.node is None:
                     inp.grad = np.array(ig) if inp.grad is None else inp.grad + ig
@@ -256,7 +253,7 @@ def _normalize_axes(op: str, axis, ndim: int) -> tuple[int, ...]:
         axis = (axis,)
     out = tuple(sorted(_axis(op, a, ndim) for a in axis))
     if len(set(out)) != len(out):
-        raise ShapeError(f"duplicate reduction axes {axis}")
+        raise ShapeError(f"{op}: duplicate reduction axes {axis}")
     return out
 
 
@@ -285,7 +282,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def maximum(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise max; ties split the gradient evenly between operands."""
-    out = _binary("elementwise_max", np.maximum, a, b)
+    out = _binary("maximum", np.maximum, a, b)
     a_data, b_data = a.data, b.data
 
     def backward(g):
@@ -294,7 +291,7 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
         gb = g * ((b_data > a_data) + tie)
         return _unbroadcast(ga, a_data.shape), _unbroadcast(gb, b_data.shape)
 
-    return _result("elementwise_max", out, (a, b), backward)
+    return _result("maximum", out, (a, b), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -367,18 +364,11 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     except ValueError as exc:
         shapes = [t.shape for t in tensors]
         raise ShapeError(f"concat: shapes {shapes} do not join on axis {axis}") from exc
-    axis = axis % out.ndim
-    sizes = [t.shape[axis] for t in tensors]
+    # a list, not an ndarray, so the closure keeps no extra array on the tape
+    ends = np.cumsum([t.shape[axis] for t in tensors[:-1]]).tolist()
 
     def backward(g):
-        pieces = []
-        start = 0
-        for n in sizes:
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(start, start + n)
-            pieces.append(g[tuple(idx)])
-            start += n
-        return tuple(pieces)
+        return np.split(g, ends, axis=axis)
 
     return _result("concat", out, tensors, backward)
 
@@ -493,13 +483,11 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         inner = (g * out).sum(axis=axis, keepdims=True)
         return ((g - inner) * out,)
 
-    return _result("softmax_axis", out, (x,), backward)
+    return _result("softmax", out, (x,), backward)
 
 
 def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...]) -> np.ndarray:
-    for ax in axes:
-        g = np.expand_dims(g, ax)
-    return np.broadcast_to(g, shape)
+    return np.broadcast_to(np.expand_dims(g, axes), shape)
 
 
 def reduce_sum(x: Tensor, axis=None) -> Tensor:
@@ -515,9 +503,7 @@ def reduce_sum(x: Tensor, axis=None) -> Tensor:
 
 def reduce_mean(x: Tensor, axis=None) -> Tensor:
     axes = _normalize_axes("reduce_mean", axis, x.ndim)
-    count = 1
-    for ax in axes:
-        count *= x.shape[ax]
+    count = math.prod(x.shape[ax] for ax in axes)
     out = x.data.mean(axis=axes)
     x_shape = x.shape
 

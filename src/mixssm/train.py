@@ -53,16 +53,9 @@ def cross_entropy_loss(probs: Tensor, labels) -> Tensor:
         raise ValueError(
             f"label out of range: {labels_arr.min()}..{labels_arr.max()} for {num_classes} classes"
         )
-    if probs.ndim == 1:
-        expected = (1,)
-    else:
-        expected = probs.shape[:-1]
-    if labels_arr.shape != expected:
+    if labels_arr.shape != (probs.shape[:-1] or (1,)):
         raise ValueError(f"labels shape {labels_arr.shape} does not match probs {probs.shape}")
-    onehot = np.zeros(probs.shape, dtype=probs.dtype)
-    np.put_along_axis(
-        onehot.reshape(-1, num_classes), labels_arr.reshape(-1, 1), 1.0, axis=-1
-    )
+    onehot = np.eye(num_classes, dtype=probs.dtype)[labels_arr].reshape(probs.shape)
     picked = reduce_sum(mul(probs, Tensor(onehot)), axis=-1)
     clamped = maximum(picked, Tensor(np.asarray(LOG_CLAMP, dtype=probs.dtype)))
     return mul(reduce_mean(log(clamped)), Tensor(np.asarray(-1.0, dtype=probs.dtype)))
@@ -145,6 +138,7 @@ def train(
                 ) from exc
             total_loss += loss.item() * len(idx)
             correct += int((np.argmax(probs.data, axis=-1) == labels).sum())
+            del probs, loss  # release this step's tape before the next forward
         records.append(
             EpochRecord(epoch=epoch, mean_loss=total_loss / n, train_acc=correct / n)
         )
@@ -168,22 +162,19 @@ def metrics_from_predictions(
     np.add.at(confusion, (labels, predictions), 1)
 
     accuracy = float(np.trace(confusion)) / float(len(labels))
-    precisions, recalls, f1s = [], [], []
-    for c in range(num_classes):
-        tp = float(confusion[c, c])
-        pred_c = float(confusion[:, c].sum())
-        true_c = float(confusion[c, :].sum())
-        prec = tp / pred_c if pred_c > 0 else 0.0
-        rec = tp / true_c if true_c > 0 else 0.0
-        f1 = 2.0 * prec * rec / (prec + rec) if prec + rec > 0 else 0.0
-        precisions.append(prec)
-        recalls.append(rec)
-        f1s.append(f1)
+
+    def ratio(num, den):
+        return np.divide(num, den, out=np.zeros(num_classes), where=den > 0)
+
+    tp = np.diag(confusion)
+    precision = ratio(tp, confusion.sum(axis=0))
+    recall = ratio(tp, confusion.sum(axis=1))
+    f1 = ratio(2.0 * precision * recall, precision + recall)
     return Metrics(
         accuracy=accuracy,
-        precision=float(np.mean(precisions)),
-        recall=float(np.mean(recalls)),
-        f1=float(np.mean(f1s)),
+        precision=float(np.mean(precision)),
+        recall=float(np.mean(recall)),
+        f1=float(np.mean(f1)),
         confusion=confusion,
     )
 

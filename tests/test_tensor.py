@@ -193,6 +193,8 @@ PRIMITIVE_CASES = [
      lambda x, c: slice_(x, 1, 1, 4)),
     ("concat", lambda rng: rng.standard_normal((2, 3)),
      lambda x, c: concat([x, c((2, 3)), x], axis=1)),
+    ("concat_negative_axis_unequal", lambda rng: rng.standard_normal((2, 3, 2)),
+     lambda x, c: concat([c((2, 3, 1)), x, c((2, 3, 4))], axis=-1)),
     ("flip", lambda rng: rng.standard_normal((3, 4)),
      lambda x, c: flip(x, axis=0)),
     ("exp", lambda rng: rng.standard_normal((3, 4)),
@@ -217,6 +219,8 @@ PRIMITIVE_CASES = [
      lambda x, c: reduce_sum(x, axis=(0, 2))),
     ("reduce_mean_all", lambda rng: rng.standard_normal((3, 4)),
      lambda x, c: reduce_mean(x)),
+    ("reduce_mean_split_axes", lambda rng: rng.standard_normal((3, 4, 2)),
+     lambda x, c: reduce_mean(x, axis=(0, 2))),
     ("reduce_max_axis", lambda rng: rng.standard_normal((3, 4, 2)),
      lambda x, c: reduce_max(x, axis=(-3, -2))),
     ("elementwise_max", lambda rng: rng.standard_normal((3, 4)),
@@ -316,7 +320,7 @@ def test_non_finite_input_rejected_at_construction():
 
 
 def test_shape_mismatch_names_op_and_shapes():
-    pairs = {"add": add, "mul": mul, "elementwise_max": maximum}
+    pairs = {"add": add, "mul": mul, "maximum": maximum}
     for op, fn in pairs.items():
         with pytest.raises(ShapeError) as err:
             fn(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
@@ -330,6 +334,8 @@ def test_shape_mismatch_names_op_and_shapes():
     assert "matmul" in str(err.value)
     with pytest.raises(ShapeError):
         conv2d(Tensor(np.zeros((4, 4, 3))), Tensor(np.zeros((3, 3, 2, 2))))
+    with pytest.raises(ShapeError, match="reduce_sum: duplicate"):
+        reduce_sum(Tensor(np.zeros((2, 3))), axis=(0, 0))
 
 
 # an axis outside [-ndim, ndim) of a 2-d input, per op taking one

@@ -1,5 +1,6 @@
 """Loss, optimizer, metrics and training-loop contracts."""
 
+import gc
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from mixssm.data import Dataset, generate_synthetic, load_image_folder
 from mixssm.errors import NumericsError
 from mixssm.network import Model, ModelConfig, save_checkpoint
-from mixssm.tensor import Tensor, mul, reduce_sum
+from mixssm.tensor import TapeNode, Tensor, mul, reduce_sum
 from mixssm.train import (
     Adam,
     cross_entropy_loss,
@@ -213,6 +214,25 @@ def test_train_reports_epoch_records(micro_dataset):
     assert [r.epoch for r in records] == [0, 1, 2]
     for r in records:
         assert 0.0 <= r.train_acc <= 1.0 and r.mean_loss >= 0.0
+
+
+def test_train_releases_each_step_tape_before_the_next_forward(micro_dataset, monkeypatch):
+    def live_nodes():
+        return sum(isinstance(obj, TapeNode) for obj in gc.get_objects())
+
+    model = Model(micro_config())
+    forward = model.forward_classify
+    seen = []
+
+    def counting_forward(images, rng=None):
+        seen.append(live_nodes())
+        return forward(images, rng=rng)
+
+    monkeypatch.setattr(model, "forward_classify", counting_forward)
+    gc.collect()
+    before = live_nodes()
+    train(model, micro_dataset, epochs=2, batch_size=8, lr=1e-3, seed=0)
+    assert seen == [before] * 4  # 12 images, 2 batches per epoch
 
 
 def test_train_aborts_with_batch_diagnostics(micro_dataset):
