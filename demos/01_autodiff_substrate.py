@@ -17,6 +17,15 @@ loss = reduce_sum(mul(x, x))
 loss.backward()
 print("d/dx sum(x^2) at", x.data, "->", x.grad)  # 2x
 
+# A graph is walked once: backward releases each node as soon as its rule has
+# run, so walking the same loss again is refused instead of reading freed state.
+try:
+    loss.backward()
+    refused = False
+except RuntimeError:
+    refused = True
+print("a second backward() on the same loss raises:", refused)
+
 # The engine refuses to produce NaN/Inf silently: overflow is an error.
 try:
     from mixssm.tensor import exp

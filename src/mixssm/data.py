@@ -86,6 +86,8 @@ def decode_ppm(raw: bytes, path: str = "<bytes>") -> np.ndarray:
         raise DataError(f"{path}: PPM payload has {len(pixels)} bytes, needs {need}")
     img = np.frombuffer(pixels[:need], dtype=np.uint8).reshape(height, width, 3)
     if maxval != 255:
+        if img.max() > maxval:
+            raise DataError(f"{path}: PPM sample {img.max()} exceeds max value {maxval}")
         img = np.round(img.astype(np.float64) * (255.0 / maxval)).astype(np.uint8)
     return img
 

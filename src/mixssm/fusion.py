@@ -92,9 +92,11 @@ def pool_global(f: Tensor, method: str = "average", rng: np.random.Generator | N
 def selective_combine(stacked: Tensor, weights: Tensor) -> Tensor:
     """Per-channel convex combination sum_m p[..., c, m] * F_m(..., c).
 
-    ``stacked`` holds the n maps as (n, ..., H, W, C); ``weights`` is (..., C, n).
+    ``stacked`` holds the n maps as (n, ..., H, W, C); ``weights`` must be (..., C, n).
     """
     n, c = stacked.shape[0], stacked.shape[-1]
+    if weights.shape[-2:] != (c, n):
+        raise ShapeError(f"selective_combine: weights {weights.shape} do not fit maps {stacked.shape}")
     lead = weights.shape[:-2]
     per_branch = transpose(weights, (weights.ndim - 1, *range(weights.ndim - 1)))
     return reduce_sum(mul(reshape(per_branch, (n, *lead, 1, 1, c)), stacked), axis=0)

@@ -9,8 +9,9 @@ and flip return numpy views), so nothing writes into one.
 
 When any input of a primitive has ``requires_grad``, a :class:`TapeNode` is
 recorded; :meth:`Tensor.backward` replays the recorded graph in reverse
-topological order and accumulates gradients on the leaves.  Repeated
-backward calls keep accumulating until the leaf grads are cleared.
+topological order, releasing each node once its rule has run, and
+accumulates gradients on the leaves.  A graph is walked once; leaf grads
+accumulate across graphs until cleared.
 
 Broadcasting follows numpy's trailing-axis rule and nothing more: aligned
 from the right, each axis pair must match or one of them must be 1.  Numpy
@@ -102,6 +103,10 @@ class TapeNode:
         self.backward_fn = backward_fn
 
 
+# the node of a tensor whose graph a backward walk has consumed
+_RELEASED = TapeNode("released", (), None)
+
+
 class Tensor:
     """N-dimensional array of finite floats with optional gradient."""
 
@@ -155,46 +160,37 @@ class Tensor:
     def backward(self) -> None:
         """Populate ``grad`` on every reachable leaf with d(self)/d(leaf).
 
-        ``self`` must be scalar.  Leaf gradients accumulate across calls
-        until cleared.  A detached (tapeless) scalar leaves grads absent.
+        ``self`` must be scalar.  A graph is walked once; leaf grads accumulate
+        across graphs until cleared.  A walk into a released node raises
+        ``RuntimeError`` before writing any gradient; a tapeless root leaves grads absent.
         """
         if self.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.shape}")
-        if self.node is None:
-            if self.requires_grad:
-                seed = np.ones_like(self.data)
-                self.grad = seed if self.grad is None else self.grad + seed
-            return
-
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:
             t, expanded = stack.pop()
-            if t.node is None:
-                continue
+            if t.node is _RELEASED:
+                raise RuntimeError("backward reached a graph that an earlier backward released")
             if expanded:
                 topo.append(t)
-                continue
-            if id(t) in seen:
-                continue
-            seen.add(id(t))
-            stack.append((t, True))
-            for inp in t.node.inputs:
-                stack.append((inp, False))
+            elif t.node is not None and id(t) not in seen:
+                seen.add(id(t))
+                stack.append((t, True))
+                stack.extend((inp, False) for inp in t.node.inputs)
+        if not topo:
+            return
 
-        grads: dict[int, np.ndarray] = {id(self): np.ones_like(self.data)}
-        for t in reversed(topo):
-            # every node here lies on a path to ``self``, so it holds a gradient
-            node = t.node
-            for inp, ig in zip(node.inputs, node.backward_fn(grads.pop(id(t)))):
-                if not inp.requires_grad:
-                    continue
-                if inp.node is None:
-                    inp.grad = np.array(ig) if inp.grad is None else inp.grad + ig
-                else:
-                    held = grads.get(id(inp))
-                    grads[id(inp)] = ig if held is None else held + ig
+        # in-flight gradients ride on grad slots; every node here lies on a path to self
+        self.grad = np.ones_like(self.data)
+        while topo:
+            t = topo.pop()
+            node, g = t.node, t.grad
+            t.node, t.grad = _RELEASED, None
+            for inp, ig in zip(node.inputs, node.backward_fn(g)):
+                if inp.requires_grad:
+                    inp.grad = ig if inp.grad is None else inp.grad + ig
 
 
 # -- wiring helpers --------------------------------------------------------

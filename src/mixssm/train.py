@@ -138,7 +138,6 @@ def train(
                 ) from exc
             total_loss += loss.item() * len(idx)
             correct += int((np.argmax(probs.data, axis=-1) == labels).sum())
-            del probs, loss  # release this step's tape before the next forward
         records.append(
             EpochRecord(epoch=epoch, mean_loss=total_loss / n, train_acc=correct / n)
         )

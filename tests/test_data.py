@@ -51,6 +51,9 @@ def test_decode_ppm_rejects_bad_inputs():
         decode_ppm(b"P6\n2 2\n255\n" + b"\x00" * 5)
     with pytest.raises(DataError, match="max value"):
         decode_ppm(b"P6\n1 1\n65535\n" + b"\x00" * 6)
+    # 200 > maxval 100: rescaled by 2.55 it would wrap in uint8 to 254
+    with pytest.raises(DataError, match="exceeds max value 100"):
+        decode_ppm(b"P6\n1 1\n100\n" + bytes([200, 0, 0]))
 
 
 def test_loader_pixel_values_from_known_fixture(tmp_path):

@@ -233,6 +233,13 @@ def test_selective_combine_mismatch_errors():
         selective_combine(stack_branches(maps), t64(np.full((4, 2), 0.5)))
 
 
+def test_selective_combine_rejects_swapped_weight_axes():
+    # n = 3 maps of C = 2 channels: (n, C) weights hold n*C entries, in the wrong order
+    maps = rand_maps(np.random.default_rng(11), 3, shape=(2, 2, 2))
+    with pytest.raises(ShapeError, match=r"weights \(3, 2\) do not fit maps \(3, 2, 2, 2\)"):
+        selective_combine(stack_branches(maps), t64(np.full((3, 2), 0.5)))
+
+
 # -- assembled module -----------------------------------------------------------------
 
 

@@ -1,12 +1,15 @@
 """Substrate tests: primitive semantics, backward rules, finite-difference
 verification of every differentiable primitive, and determinism."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from mixssm.errors import NumericsError, ShapeError
 from mixssm.gradcheck import finite_diff_check
 from mixssm.tensor import (
+    TapeNode,
     Tensor,
     add,
     concat,
@@ -115,6 +118,47 @@ def test_detached_graph_leaves_grads_absent():
         y = reduce_sum(mul(x, x))
     y.backward()
     assert x.grad is None
+
+
+def test_second_backward_on_the_same_root_raises():
+    x = tensor64([2.0, -1.0], requires_grad=True)
+    loss = reduce_sum(mul(x, x))
+    loss.backward()
+    first = x.grad.copy()
+    with pytest.raises(RuntimeError):
+        loss.backward()
+    assert np.array_equal(x.grad, first)
+
+
+def test_walk_into_a_released_shared_subgraph_raises_before_any_grad_changes():
+    x = tensor64([2.0, -1.0], requires_grad=True)
+    w = tensor64([0.5, 3.0], requires_grad=True)
+    shared = mul(x, x)
+    reduce_sum(shared).backward()
+    first = x.grad.copy()
+    # the second root's own nodes come before the shared ones in its walk
+    second = reduce_sum(mul(shared, w))
+    with pytest.raises(RuntimeError):
+        second.backward()
+    assert np.array_equal(x.grad, first)
+    assert w.grad is None
+
+
+def test_backward_releases_the_tape_while_its_outputs_stay_referenced():
+    def live_nodes():
+        return sum(isinstance(obj, TapeNode) for obj in gc.get_objects())
+
+    rng = np.random.default_rng(5)
+    w = tensor64(rng.standard_normal((3, 4)), requires_grad=True)
+    x = tensor64(rng.standard_normal((2, 3)))
+    gc.collect()
+    before = live_nodes()
+    probs = softmax(matmul(x, w), axis=-1)
+    loss = cross_entropy_loss(probs, [1, 3])
+    assert live_nodes() > before
+    loss.backward()
+    assert live_nodes() == before
+    assert probs.data.shape == (2, 4) and w.grad.shape == (3, 4)
 
 
 # -- finite_diff_check contract ----------------------------------------------------
