@@ -8,7 +8,7 @@ recorded gradients against central finite differences.
 import numpy as np
 
 from mixssm import Tensor, finite_diff_check
-from mixssm.tensor import conv2d, gelu, matmul, mul, reduce_mean, reduce_sum, softmax
+from mixssm.tensor import conv2d, gelu, matmul, maximum, mul, reduce_mean, reduce_sum, softmax
 
 # Tensors carry a value buffer, an optional gradient, and (when requested)
 # a tape node linking them to the ops that produced them.
@@ -25,6 +25,12 @@ try:
 except RuntimeError:
     refused = True
 print("a second backward() on the same loss raises:", refused)
+
+# A graph has one precision: a float32 model backpropagates in float32, also
+# through maximum, whose ties split the gradient.
+u = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
+reduce_sum(maximum(u, Tensor(np.array([1.0, 0.0], dtype=np.float32)))).backward()
+print("a float32 leaf's gradient through maximum is float32:", u.grad.dtype == np.float32)
 
 # The engine refuses to produce NaN/Inf silently: overflow is an error.
 try:

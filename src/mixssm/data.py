@@ -80,6 +80,8 @@ def decode_ppm(raw: bytes, path: str = "<bytes>") -> np.ndarray:
         raise DataError(f"{path}: bad PPM dimensions {width}x{height}")
     if not 0 < maxval < 256:
         raise DataError(f"{path}: unsupported PPM max value {maxval} (8-bit only)")
+    if not raw[end : end + 1].isspace():
+        raise DataError(f"{path}: PPM max value is not followed by a whitespace byte")
     pixels = raw[end + 1 :]
     need = width * height * 3
     if len(pixels) < need:
@@ -123,10 +125,6 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top * (1 - wy) + bottom * wy
 
 
-def _normalize(img01: np.ndarray) -> np.ndarray:
-    return ((img01 - 0.5) / 0.5).astype(np.float32)
-
-
 def load_image_folder(root: str, target_size: tuple[int, int]) -> Dataset:
     """Load <root>/<class>/<file>.ppm into a normalized float32 dataset.
 
@@ -155,10 +153,10 @@ def load_image_folder(root: str, target_size: tuple[int, int]) -> Dataset:
             with open(fpath, "rb") as fh:
                 img = decode_ppm(fh.read(), fpath).astype(np.float64) / 255.0
             img = bilinear_resize(img, *target_size)
-            images.append(_normalize(img))
+            images.append(((img - 0.5) / 0.5).astype(np.float32))
             labels.append(label)
     return Dataset(
-        images=np.stack(images).astype(np.float32),
+        images=np.stack(images),
         labels=np.asarray(labels, dtype=np.int64),
         class_names=class_names,
     )

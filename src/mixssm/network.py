@@ -153,7 +153,9 @@ def check_field_types(config) -> None:
 
 
 def desk_config(num_classes: int = 4, seed: int = 0) -> ModelConfig:
-    """Laptop-scale configuration used by the smoke runs and sweeps."""
+    """Laptop-scale configuration used by the smoke runs and sweeps.  Its last stage
+    scans one token, whose output does not depend on the decay, so that stage's
+    ``log_decay_rates`` truly get no gradient and keep their initial values."""
     return ModelConfig(
         input_size=(32, 32),
         depths=(1, 1, 2, 1),

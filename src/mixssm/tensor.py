@@ -18,6 +18,8 @@ from the right, each axis pair must match or one of them must be 1.  Numpy
 enforces it, and concat's shape rule; its error surfaces as a ShapeError
 naming the op.  Precision is checked once, on every op's result: an input
 whose dtype differs from the output's (a float32/float64 mix) raises TypeError.
+A gradient has its tensor's dtype: each backward rule computes in the incoming
+gradient's, so a float32 model backpropagates in float32 and nothing casts back.
 """
 
 from __future__ import annotations
@@ -160,9 +162,10 @@ class Tensor:
     def backward(self) -> None:
         """Populate ``grad`` on every reachable leaf with d(self)/d(leaf).
 
-        ``self`` must be scalar.  A graph is walked once; leaf grads accumulate
-        across graphs until cleared.  A walk into a released node raises
-        ``RuntimeError`` before writing any gradient; a tapeless root leaves grads absent.
+        ``self`` must be scalar; every gradient has its tensor's dtype.  A graph
+        is walked once; leaf grads accumulate across graphs until cleared.  A walk
+        into a released node raises ``RuntimeError`` before writing any gradient;
+        a tapeless root leaves grads absent.
         """
         if self.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.shape}")
@@ -282,7 +285,7 @@ def maximum(a: Tensor, b: Tensor) -> Tensor:
     a_data, b_data = a.data, b.data
 
     def backward(g):
-        tie = (a_data == b_data) * 0.5
+        tie = np.multiply(a_data == b_data, 0.5, dtype=g.dtype)
         ga = g * ((a_data > b_data) + tie)
         gb = g * ((b_data > a_data) + tie)
         return _unbroadcast(ga, a_data.shape), _unbroadcast(gb, b_data.shape)
@@ -343,10 +346,10 @@ def slice_(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     axis = _axis("slice", axis, x.ndim)
     key = (slice(None),) * axis + (slice(start, stop),)
     out = x.data[key]
-    x_shape, x_dtype = x.shape, x.dtype
+    x_shape = x.shape
 
     def backward(g):
-        gx = np.zeros(x_shape, dtype=x_dtype)
+        gx = np.zeros(x_shape, dtype=g.dtype)
         gx[key] = g
         return (gx,)
 
@@ -482,17 +485,13 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return _result("softmax", out, (x,), backward)
 
 
-def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axes: tuple[int, ...]) -> np.ndarray:
-    return np.broadcast_to(np.expand_dims(g, axes), shape)
-
-
 def reduce_sum(x: Tensor, axis=None) -> Tensor:
     axes = _normalize_axes("reduce_sum", axis, x.ndim)
     out = x.data.sum(axis=axes)
     x_shape = x.shape
 
     def backward(g):
-        return (_expand_reduced(g, x_shape, axes),)
+        return (np.broadcast_to(np.expand_dims(g, axes), x_shape),)
 
     return _result("reduce_sum", out, (x,), backward)
 
@@ -504,7 +503,7 @@ def reduce_mean(x: Tensor, axis=None) -> Tensor:
     x_shape = x.shape
 
     def backward(g):
-        return (_expand_reduced(g / count, x_shape, axes),)
+        return (np.broadcast_to(np.expand_dims(g / count, axes), x_shape),)
 
     return _result("reduce_mean", out, (x,), backward)
 
@@ -569,8 +568,8 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
 
     def backward(g):
         gb4 = g.reshape((-1, h, wdt, cout))
-        gxp = np.zeros_like(xp)
-        gw = np.zeros_like(w_data)
+        gxp = np.zeros_like(xp, dtype=g.dtype)
+        gw = np.zeros_like(w_data, dtype=g.dtype)
         for m, n in taps:
             gw[m, n] = grad_k(tap(xp, m, n), gb4)
             tap(gxp, m, n)[...] += grad_x(gb4, w_data[m, n])

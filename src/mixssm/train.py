@@ -82,7 +82,7 @@ class Adam:
             self.v[i] = beta2 * self.v[i] + (1.0 - beta2) * (g * g)
             m_hat = self.m[i] / (1.0 - beta1 ** self.t)
             v_hat = self.v[i] / (1.0 - beta2 ** self.t)
-            p.data = p.data - (self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)).astype(p.dtype)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
 
 
 def _check_dataset(model: Model, dataset: Dataset, verb: str) -> None:

@@ -54,6 +54,9 @@ def test_decode_ppm_rejects_bad_inputs():
     # 200 > maxval 100: rescaled by 2.55 it would wrap in uint8 to 254
     with pytest.raises(DataError, match="exceeds max value 100"):
         decode_ppm(b"P6\n1 1\n100\n" + bytes([200, 0, 0]))
+    # the byte after the max value must be whitespace, not the start of a comment
+    with pytest.raises(DataError, match="whitespace"):
+        decode_ppm(b"P6 1 1 255#\x01\x02\x03")
 
 
 def test_loader_pixel_values_from_known_fixture(tmp_path):

@@ -291,6 +291,26 @@ def test_primitive_gradients_match_finite_differences(name, make_input, apply):
         assert err < 1e-4, f"{name} seed {seed}: {err}"
 
 
+@pytest.mark.parametrize("name,make_input,apply", PRIMITIVE_CASES, ids=[c[0] for c in PRIMITIVE_CASES])
+def test_float32_gradients_stay_float32(name, make_input, apply):
+    """The rule of the module docstring: a float32 graph backpropagates in float32."""
+    rng = np.random.default_rng(7)
+
+    def leaf32(values):
+        return Tensor(np.asarray(values, dtype=np.float32), requires_grad=True)
+
+    consts = []
+
+    def const(shape):
+        consts.append(leaf32(rng.standard_normal(shape)))
+        return consts[-1]
+
+    x = leaf32(make_input(rng))
+    out = apply(x, const)
+    reduce_sum(mul(out, Tensor(rng.standard_normal(out.shape).astype(np.float32)))).backward()
+    assert {leaf.grad.dtype for leaf in [x, *consts]} == {np.dtype(np.float32)}, name
+
+
 # -- structural invariants --------------------------------------------------------
 
 

@@ -90,12 +90,16 @@ def test_adam_first_step_is_signed_learning_rate():
 
 def test_adam_zero_gradient_leaves_params_bitwise_unchanged():
     p = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
-    before = p.data.copy()
-    opt = Adam([p], lr=1e-2)
+    # no gradient at all, like the desk model's last-stage decay rates (a one-token scan)
+    idle = Tensor(np.array([0.1, -0.0, 3e38, -1e-45], dtype=np.float32), requires_grad=True)
+    before, idle_before = p.data.copy(), idle.data.tobytes()
+    opt = Adam([p, idle], lr=1e-2)
     p.grad = np.zeros(2, dtype=np.float32)
     opt.step()
     assert opt.t == 1
     assert np.array_equal(p.data, before)
+    assert idle.grad is None and idle.data.tobytes() == idle_before
+    assert {a.dtype for a in [p.data, idle.data, *opt.m, *opt.v]} == {np.dtype(np.float32)}
 
 
 def reference_adam(x0, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
