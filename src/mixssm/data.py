@@ -120,8 +120,10 @@ def bilinear_resize(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     wy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
     wx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
-    top = img[y0][:, x0] * (1 - wx) + img[y0][:, x1] * wx
-    bottom = img[y1][:, x0] * (1 - wx) + img[y1][:, x1] * wx
+    # one (rows, columns) gather per corner keeps the result C-contiguous
+    y0, y1 = y0[:, None], y1[:, None]
+    top = img[y0, x0] * (1 - wx) + img[y0, x1] * wx
+    bottom = img[y1, x0] * (1 - wx) + img[y1, x1] * wx
     return top * (1 - wy) + bottom * wy
 
 

@@ -147,7 +147,8 @@ def selective_scan(u: Tensor, params: "SsmBranch") -> Tensor:
     ``u``: (..., T, C).  Per channel c with state h in R^N and h_0 = 0:
 
         dt_t   = softplus(u_t @ W_dt + b_dt)            (per token, per channel)
-        Abar_t = exp(dt_t * A_c)                        (diagonal decay)
+        A_c    = -exp(a_log_c)                          (negative rates)
+        Abar_t = exp(dt_t * A_c)                        (diagonal decay in [0, 1])
         h_t    = Abar_t * h_{t-1} + (dt_t * u_{t,c}) * B_t
         y_t,c  = <C_t, h_t> + d_skip_c * u_{t,c}
 
@@ -161,7 +162,8 @@ def selective_scan(u: Tensor, params: "SsmBranch") -> Tensor:
     b_tok = matmul(u, params.b_weight)
     c_tok = matmul(u, params.c_weight)
 
-    decay = exp(mul(reshape(dt, (*lead, t, c, 1)), params.log_decay_rates))
+    rates = mul(exp(params.a_log), Tensor(np.asarray(-1.0, dtype=u.dtype)))
+    decay = exp(mul(reshape(dt, (*lead, t, c, 1)), rates))
     drive = mul(reshape(mul(dt, u), (*lead, t, c, 1)), reshape(b_tok, (*lead, t, 1, n)))
     h = linear_scan(decay, drive)
     read = reduce_sum(mul(h, reshape(c_tok, (*lead, t, 1, n))), axis=-1)
@@ -243,40 +245,32 @@ class ChannelMlpBranch(Module):
 class SsmBranch(Module):
     """Cross-scan selective SSM branch.
 
-    The four scan directions share the dt/B/C projections by default; with
-    ``shared_directions=False`` each direction owns its own set.  The
-    diagonal rates start at -(1..N) per channel and the dt bias is drawn so
-    softplus lands in [1e-3, 1e-1], keeping the scan stable at init.
+    The four scan directions share one set of dt/B/C projections.  The
+    diagonal rates are stored as ``a_log`` and used as A = -exp(a_log), so no
+    finite parameter value gives a per-step decay above 1; ``a_log`` starts
+    at log(1..N) per channel.  The dt bias is drawn so softplus lands in
+    [1e-3, 1e-1].
     """
 
     def __init__(
         self,
         channels: int,
         state_dim: int = 8,
-        shared_directions: bool = True,
         *,
         rng: np.random.Generator,
         dtype=np.float32,
     ):
         self.state_dim = state_dim
 
-        rates = -np.tile(np.arange(1.0, state_dim + 1.0), (channels, 1))
-        self.log_decay_rates = Tensor(rates.astype(dtype), requires_grad=True)
+        a_log = np.log(np.tile(np.arange(1.0, state_dim + 1.0), (channels, 1)))
+        self.a_log = Tensor(a_log.astype(dtype), requires_grad=True)
         self.skip_gain = Tensor(np.ones(channels, dtype=dtype), requires_grad=True)
 
-        if shared_directions:
-            proj_shape = (channels, channels)
-            bn_shape = (channels, state_dim)
-            bias_shape = (channels,)
-        else:
-            proj_shape = (4, channels, channels)
-            bn_shape = (4, channels, state_dim)
-            bias_shape = (4, 1, channels)
-        dt_init = np.exp(rng.uniform(math.log(1e-3), math.log(1e-1), size=bias_shape))
-        self.dt_weight = Tensor(trunc_normal(rng, proj_shape, dtype=dtype), requires_grad=True)
+        dt_init = np.exp(rng.uniform(math.log(1e-3), math.log(1e-1), size=(channels,)))
+        self.dt_weight = Tensor(trunc_normal(rng, (channels, channels), dtype=dtype), requires_grad=True)
         self.dt_bias = Tensor(np.log(np.expm1(dt_init)).astype(dtype), requires_grad=True)
-        self.b_weight = Tensor(trunc_normal(rng, bn_shape, dtype=dtype), requires_grad=True)
-        self.c_weight = Tensor(trunc_normal(rng, bn_shape, dtype=dtype), requires_grad=True)
+        self.b_weight = Tensor(trunc_normal(rng, (channels, state_dim), dtype=dtype), requires_grad=True)
+        self.c_weight = Tensor(trunc_normal(rng, (channels, state_dim), dtype=dtype), requires_grad=True)
         self.out_weight = Tensor(trunc_normal(rng, (channels, channels), dtype=dtype), requires_grad=True)
         self.out_bias = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
 

@@ -126,7 +126,7 @@ def gradient_suite(seed: int = 0, seeds: int = 5) -> dict[str, float]:
         ("mix_ssm_block", lambda rng: itself(MixSsmBlock(
             channels, heads, BRANCH_NAMES, state_dim,
             kernel_size=3, pooling="average", aggregation="selective",
-            reduction=4, ssm_shared_directions=True, rng=rng, dtype=f64,
+            reduction=4, rng=rng, dtype=f64,
         ))),
     )
     results: dict[str, float] = {}

@@ -13,10 +13,11 @@ def naive_selective_scan(u, p):
     dt = np.logaddexp(0.0, u @ p.dt_weight.data + p.dt_bias.data)
     b_tok = u @ p.b_weight.data
     c_tok = u @ p.c_weight.data
+    a = -np.exp(p.a_log.data)  # A_c, negative rates
     h = np.zeros(u.shape[:-2] + (c, n))
     y = np.zeros_like(u)
     for t in range(t_len):
-        decay = np.exp(dt[..., t, :, None] * p.log_decay_rates.data)
+        decay = np.exp(dt[..., t, :, None] * a)
         drive = (dt[..., t, :] * u[..., t, :])[..., None] * b_tok[..., t, None, :]
         h = decay * h + drive
         y[..., t, :] = (h * c_tok[..., t, None, :]).sum(-1) + p.skip_gain.data * u[..., t, :]

@@ -156,6 +156,8 @@ def test_synthetic_counts_and_layout(tmp_path):
     ds = load_image_folder(root, (32, 32))
     assert len(ds) == 64 and ds.num_classes == 4
     assert ds.images.shape == (64, 32, 32, 3)
+    # a training batch's gather is then its only copy
+    assert ds.images.flags.c_contiguous
 
 
 def test_synthetic_rejects_bad_arguments(tmp_path):

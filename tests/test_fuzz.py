@@ -31,7 +31,6 @@ RUN_CONFIG = {
     "pooling": "average",
     "aggregation": "selective",
     "reduction": 4,
-    "ssm_shared_directions": True,
     "num_classes": 4,
     "seed": 0,
     "epochs": 2,

@@ -124,9 +124,17 @@ def make_block(branches, rng=None):
     rng = rng if rng is not None else np.random.default_rng(4)
     return MixSsmBlock(
         8, 2, branches, state_dim=4, kernel_size=3, pooling="average",
-        aggregation="selective", reduction=4, ssm_shared_directions=True,
-        rng=rng, dtype=np.float64,
+        aggregation="selective", reduction=4, rng=rng, dtype=np.float64,
     )
+
+
+def test_block_refuses_per_direction_ssm_projections():
+    with pytest.raises(ValueError, match="ssm_shared_directions"):
+        MixSsmBlock(
+            8, 2, BRANCH_NAMES, state_dim=4, kernel_size=3, pooling="average",
+            aggregation="selective", reduction=4, rng=np.random.default_rng(4),
+            dtype=np.float64, ssm_shared_directions=False,
+        )
 
 
 def test_block_single_identity_branch_doubles_input():
@@ -353,13 +361,15 @@ def test_checkpoint_unsupported_version_detected(tmp_path):
     blob = open(path, "rb").read()
     header_len = int.from_bytes(blob[8:16], "little")
     header = json.loads(blob[16 : 16 + header_len].decode())
-    header["version"] = 999
-    new_header = json.dumps(header, sort_keys=True).encode()
-    open(path, "wb").write(
-        blob[:8] + len(new_header).to_bytes(8, "little") + new_header + blob[16 + header_len :]
-    )
-    with pytest.raises(CheckpointError, match="version"):
-        load_checkpoint(path)
+    # version 1 stored the SSM rates as A itself; its files are refused, not misread
+    for version in (1, 999):
+        header["version"] = version
+        new_header = json.dumps(header, sort_keys=True).encode()
+        open(path, "wb").write(
+            blob[:8] + len(new_header).to_bytes(8, "little") + new_header + blob[16 + header_len :]
+        )
+        with pytest.raises(CheckpointError, match="version"):
+            load_checkpoint(path)
 
 
 def test_checkpoint_shape_length_mismatch_detected(tmp_path):

@@ -241,8 +241,9 @@ def test_train_releases_each_step_tape_before_the_next_forward(micro_dataset, mo
 
 def test_train_aborts_with_batch_diagnostics(micro_dataset):
     model = Model(micro_config())
-    # poison the scan rates so exp overflows during the first forward
-    model.stages[0].blocks[0].ssm.log_decay_rates.data += 1e4
+    # poison a_log so exp(a_log) overflows float32 during the first forward; a
+    # finite a_log cannot make a decay above 1, so the rate itself must overflow
+    model.stages[0].blocks[0].ssm.a_log.data += 1e4
     with pytest.raises(NumericsError, match="epoch 0 batch 0"):
         train(model, micro_dataset, epochs=1, batch_size=8, lr=1e-3, seed=0)
 
