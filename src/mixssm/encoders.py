@@ -217,11 +217,12 @@ class AttentionBranch(Module):
         *lead, h, w, c = v.shape
         t = h * w
         x = reshape(v, (*lead, 1, t, c))
-        q = matmul(x, self.q_proj)
+        # scaling q, not the (heads, T, T) scores, saves a pass over the largest array
+        scale = Tensor(np.asarray(1.0 / math.sqrt(self.head_dim), dtype=v.dtype))
+        q = mul(matmul(x, self.q_proj), scale)
         k = matmul(x, self.k_proj)
         vals = matmul(x, self.v_proj)
-        scale = Tensor(np.asarray(1.0 / math.sqrt(self.head_dim), dtype=v.dtype))
-        scores = mul(matmul(q, transpose(k, (1, 0))), scale)
+        scores = matmul(q, transpose(k, (1, 0)))
         mixed = matmul(softmax(scores, axis=-1), vals)
         merged = reshape(transpose(mixed, (1, 0, 2)), (*lead, t, self.heads * self.head_dim))
         return reshape(matmul(merged, self.out_proj), (*lead, h, w, c))

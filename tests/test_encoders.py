@@ -148,6 +148,36 @@ def test_attention_matches_naive_oracle(shape):
     assert np.abs(branch(t64(v)).data - attention_oracle(branch, v)).max() < 1e-12
 
 
+def scores_then_scale_attention(branch, v):
+    """The branch's forward in numpy, with 1/sqrt(head_dim) applied to the
+    (heads, T, T) scores instead of to q."""
+    *lead, h, w, c = v.shape
+    x = v.reshape((*lead, 1, h * w, c))
+    q, k, vals = (x @ proj.data for proj in (branch.q_proj, branch.k_proj, branch.v_proj))
+    scores = (q @ k.swapaxes(-1, -2)) * v.dtype.type(1.0 / math.sqrt(branch.head_dim))
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    mixed = (e / e.sum(axis=-1, keepdims=True)) @ vals
+    merged = np.swapaxes(mixed, -3, -2).reshape((*lead, h * w, c))
+    return (merged @ branch.out_proj.data).reshape(v.shape)
+
+
+def test_attention_at_head_dim_16_is_bitwise_scores_then_scale():
+    rng = np.random.default_rng(7)
+    branch = AttentionBranch(32, heads=2, rng=rng)
+    assert branch.head_dim == 16
+    for shape in ((6, 6, 32), (2, 4, 5, 32)):
+        v = rng.standard_normal(shape).astype(np.float32)
+        assert np.array_equal(branch(Tensor(v)).data, scores_then_scale_attention(branch, v))
+
+
+def test_attention_at_head_dim_8_matches_naive_oracle():
+    rng = np.random.default_rng(8)
+    branch = AttentionBranch(16, heads=2, rng=rng, dtype=np.float64)
+    assert branch.head_dim == 8
+    v = rng.standard_normal((3, 5, 16))
+    assert np.abs(branch(t64(v)).data - attention_oracle(branch, v)).max() < 1e-12
+
+
 # -- channel MLP branch -------------------------------------------------------------
 
 

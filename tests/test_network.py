@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mixssm.errors import CheckpointError, ConfigError, ShapeError
+from mixssm.errors import CheckpointError, ConfigError, NumericsError, ShapeError
 from mixssm.gradcheck import check_parameter_gradients, finite_diff_check
 from mixssm.network import (
     BRANCH_NAMES,
@@ -222,6 +222,17 @@ def test_zero_head_weights_give_bias_softmax_for_any_image():
         img = Tensor(rng.standard_normal((16, 16, 3)).astype(np.float32))
         probs = model.forward_classify(img)
         assert np.abs(probs.data - want).max() < 1e-6
+
+
+def test_parameter_made_infinite_in_place_fails_at_the_first_arithmetic_op():
+    # an in-place write (an overflowing optimizer update) skips the leaf check;
+    # the kernel passes an unchecked reshape, and the matmul after it must refuse
+    model = Model(micro_config())
+    model.patch_embed.kernel.data[...] = np.inf
+    img = Tensor(np.random.default_rng(16).random((16, 16, 3)).astype(np.float32))
+    with pytest.raises(NumericsError, match="^matmul produced non-finite"):
+        with no_grad():
+            model.forward_classify(img)
 
 
 def test_forward_is_bitwise_repeatable():

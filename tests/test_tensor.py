@@ -2,10 +2,12 @@
 verification of every differentiable primitive, and determinism."""
 
 import gc
+import warnings
 
 import numpy as np
 import pytest
 
+from mixssm import tensor
 from mixssm.errors import NumericsError, ShapeError
 from mixssm.gradcheck import finite_diff_check
 from mixssm.tensor import (
@@ -354,6 +356,18 @@ def test_softmax_rows_sum_to_one_and_shift_invariance():
     assert np.abs(out32.sum(axis=-1) - 1.0).max() < 1e-6
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_is_bitwise_the_out_of_place_formula_and_keeps_its_input(dtype):
+    rng = np.random.default_rng(16)
+    for shape, axis in (((5, 9), -1), ((3, 4, 6), 1), ((2, 64, 64), -1)):
+        z = (rng.standard_normal(shape) * 4).astype(dtype)
+        x = Tensor(z.copy())
+        out = softmax(x, axis=axis).data
+        e = np.exp(z - z.max(axis=axis, keepdims=True))
+        assert np.array_equal(out, e / e.sum(axis=axis, keepdims=True))
+        assert np.array_equal(x.data, z)
+
+
 def test_fixed_seed_graph_is_bitwise_deterministic():
     def run():
         rng = np.random.default_rng(42)
@@ -374,6 +388,40 @@ def test_fixed_seed_graph_is_bitwise_deterministic():
 def test_overflow_surfaces_as_error_not_nan():
     with pytest.raises(NumericsError, match="exp"):
         exp(Tensor([1000.0], dtype=np.float32))
+
+
+FINITE_PRESERVING_CASES = {
+    "reshape": lambda x: reshape(x, (2, 4)),
+    "transpose": lambda x: transpose(reshape(x, (2, 4)), (1, 0)),
+    "slice": lambda x: slice_(x, 0, 1, 7),
+    "concat": lambda x: concat([x, flip(x, axis=0)], axis=0),
+    "flip": lambda x: flip(x, axis=0),
+    "maximum": lambda x: maximum(x, flip(x, axis=0)),
+    "reduce_max": lambda x: reduce_max(reshape(x, (2, 4)), axis=1),
+    "softmax": lambda x: softmax(x, axis=0),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_ops_that_skip_the_finiteness_check_keep_extreme_finite_inputs_finite(dtype):
+    # the skipped set is exactly the set exercised here
+    assert set(FINITE_PRESERVING_CASES) == tensor._FINITE_PRESERVING
+    info = np.finfo(dtype)
+    extremes = np.array([info.max, -info.max, info.smallest_subnormal, -0.0, 0.0,
+                         -info.smallest_subnormal, info.tiny, 1.0], dtype=dtype)
+    for name, fn in FINITE_PRESERVING_CASES.items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = fn(Tensor(extremes))
+        assert out.dtype == dtype and np.isfinite(out.data).all(), name
+
+
+def test_softmax_of_inputs_spanning_more_than_the_float_range_warns_nothing():
+    x = Tensor(np.array([-3e38, 3e38, 0.0], dtype=np.float32))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = softmax(x, axis=-1)
+    assert np.array_equal(out.data, [0.0, 1.0, 0.0])
 
 
 def test_non_finite_input_rejected_at_construction():
