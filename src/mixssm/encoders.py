@@ -4,7 +4,7 @@ Each branch maps a feature map (..., H, W, C) to a same-shape map:
 
 * :class:`ConvBranch` -- one SAME 3x3 convolution plus activation.
 * :class:`AttentionBranch` -- full multi-head self-attention over the
-  flattened token sequence.
+  flattened token sequence, in blocks of 256 query rows.
 * :class:`ChannelMlpBranch` -- per-position two-layer channel MLP.
 * :class:`SsmBranch` -- cross-scan into four directional sequences stacked
   on one axis, an input-conditioned diagonal state-space scan of all four
@@ -31,7 +31,6 @@ from .tensor import (
     gelu,
     matmul,
     mul,
-    reduce_sum,
     reshape,
     slice_,
     softmax,
@@ -153,6 +152,12 @@ def selective_scan(u: Tensor, params: "SsmBranch") -> Tensor:
         y_t,c  = <C_t, h_t> + d_skip_c * u_{t,c}
 
     where B_t = u_t @ W_B and C_t = u_t @ W_C are per-token N-vectors.
+
+    The drive (dt_t * u_t) B_t^T and the readout h_t C_t are batched matmuls
+    over the (..., T) axes, not a broadcast multiply and a sum over the short
+    trailing N axis: numpy runs such a sum and its broadcast backward with an
+    N-element inner loop, while matmul and its two adjoints are batched
+    matrix products.
     """
     lead = u.shape[:-2]
     t, c = u.shape[-2:]
@@ -164,9 +169,9 @@ def selective_scan(u: Tensor, params: "SsmBranch") -> Tensor:
 
     rates = mul(exp(params.a_log), Tensor(np.asarray(-1.0, dtype=u.dtype)))
     decay = exp(mul(reshape(dt, (*lead, t, c, 1)), rates))
-    drive = mul(reshape(mul(dt, u), (*lead, t, c, 1)), reshape(b_tok, (*lead, t, 1, n)))
+    drive = matmul(reshape(mul(dt, u), (*lead, t, c, 1)), reshape(b_tok, (*lead, t, 1, n)))
     h = linear_scan(decay, drive)
-    read = reduce_sum(mul(h, reshape(c_tok, (*lead, t, 1, n))), axis=-1)
+    read = reshape(matmul(h, reshape(c_tok, (*lead, t, n, 1))), (*lead, t, c))
     return add(read, mul(u, params.skip_gain))
 
 
@@ -194,8 +199,22 @@ class ConvBranch(Module):
         return _ACTIVATIONS[self.act](add(conv2d(v, self.weight), self.bias))
 
 
+# query rows per attention block: smaller blocks add op calls, larger ones
+# approach the full (heads, T, T) score array
+_QUERY_BLOCK = 256
+
+
 class AttentionBranch(Module):
-    """Full (non-windowed) multi-head self-attention over the token grid."""
+    """Full (non-windowed) multi-head self-attention over the token grid.
+
+    softmax(q k^T) v is computed for blocks of ``_QUERY_BLOCK`` query rows and
+    the rows are joined, so no (heads, T, T) score array exists at once: under
+    ``no_grad`` each block's scores are freed before the next block's are
+    made (Rabe & Staats 2021, arXiv 2112.05682).  At T <= ``_QUERY_BLOCK``
+    there is one block, and the branch records the unblocked ops: no slice and
+    no one-part concat.  A recorded graph still keeps every block's
+    probabilities for backward.
+    """
 
     def __init__(
         self,
@@ -222,8 +241,13 @@ class AttentionBranch(Module):
         q = mul(matmul(x, self.q_proj), scale)
         k = matmul(x, self.k_proj)
         vals = matmul(x, self.v_proj)
-        scores = matmul(q, transpose(k, (1, 0)))
-        mixed = matmul(softmax(scores, axis=-1), vals)
+        keys = transpose(k, (1, 0))
+        if t <= _QUERY_BLOCK:
+            row_blocks = [q]
+        else:
+            row_blocks = [slice_(q, -2, s, s + _QUERY_BLOCK) for s in range(0, t, _QUERY_BLOCK)]
+        blocks = [matmul(softmax(matmul(rows, keys), axis=-1), vals) for rows in row_blocks]
+        mixed = blocks[0] if len(blocks) == 1 else concat(blocks, axis=-2)
         merged = reshape(transpose(mixed, (1, 0, 2)), (*lead, t, self.heads * self.head_dim))
         return reshape(matmul(merged, self.out_proj), (*lead, h, w, c))
 

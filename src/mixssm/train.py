@@ -62,7 +62,11 @@ def cross_entropy_loss(probs: Tensor, labels) -> Tensor:
 
 
 class Adam:
-    """Adam with bias correction: beta1 0.9, beta2 0.999, eps 1e-8."""
+    """Adam with bias correction: beta1 0.9, beta2 0.999, eps 1e-8.
+
+    A gradient that is non-finite, or whose square overflows the parameter's
+    dtype, raises :class:`NumericsError` naming the step.
+    """
 
     def __init__(self, params, lr: float):
         self.params: list[Tensor] = list(params)
@@ -76,10 +80,16 @@ class Adam:
         self.t += 1
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            if not np.isfinite(g).all():
-                raise NumericsError(f"non-finite gradient in optimizer step {self.t}")
+            # a finite square implies a finite gradient; an overflowed one would
+            # make v infinite and freeze the parameter for good
+            with np.errstate(over="ignore"):
+                g_sq = g * g
+            if not np.isfinite(g_sq).all():
+                raise NumericsError(
+                    f"gradient is non-finite or its square overflows in optimizer step {self.t}"
+                )
             self.m[i] = beta1 * self.m[i] + (1.0 - beta1) * g
-            self.v[i] = beta2 * self.v[i] + (1.0 - beta2) * (g * g)
+            self.v[i] = beta2 * self.v[i] + (1.0 - beta2) * g_sq
             m_hat = self.m[i] / (1.0 - beta1 ** self.t)
             v_hat = self.v[i] / (1.0 - beta2 ** self.t)
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)

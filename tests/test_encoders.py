@@ -140,12 +140,38 @@ def test_attention_two_tokens_matches_oracle():
     assert np.abs(branch(t64(x)).data - attention_oracle(branch, x)).max() < 1e-12
 
 
-@pytest.mark.parametrize("shape", [(3, 4, 8), (2, 3, 2, 8)])
-def test_attention_matches_naive_oracle(shape):
+@pytest.mark.parametrize(
+    "shape, check",
+    [
+        pytest.param((3, 4, 8), "oracle", id="shape0"),
+        pytest.param((2, 3, 2, 8), "oracle", id="shape1"),
+        # around the 256-row query block: one short block, one full block, a
+        # full and a short block, and three blocks per map of a batch of two
+        pytest.param((15, 17, 8), "oracle", id="T255"),
+        pytest.param((16, 16, 8), "oracle", id="T256"),
+        pytest.param((17, 17, 8), "oracle", id="T289"),
+        pytest.param((2, 23, 23, 8), "oracle", id="batch-T529"),
+        pytest.param((17, 17, 4), "finite_diff", id="T289-finite_diff"),
+        pytest.param((17, 17, 8), "permutation", id="T289-permutation"),
+    ],
+)
+def test_attention_matches_naive_oracle(shape, check):
     rng = np.random.default_rng(6)
-    branch = AttentionBranch(8, heads=2, rng=rng, dtype=np.float64)
+    branch = AttentionBranch(shape[-1], heads=2, rng=rng, dtype=np.float64)
     v = rng.standard_normal(shape)
-    assert np.abs(branch(t64(v)).data - attention_oracle(branch, v)).max() < 1e-12
+    if check == "oracle":
+        assert np.abs(branch(t64(v)).data - attention_oracle(branch, v)).max() < 1e-12
+    elif check == "finite_diff":
+        proj = t64(rng.standard_normal(shape))
+        err = finite_diff_check(lambda x: reduce_sum(mul(branch(x), proj)), t64(v))
+        assert err < 1e-4, err
+    else:
+        # tokens from different query blocks trade places; the outputs follow them
+        tokens = v.reshape(-1, shape[-1])
+        perm = rng.permutation(len(tokens))
+        out = branch(t64(v)).data.reshape(tokens.shape)
+        out_perm = branch(t64(tokens[perm].reshape(shape))).data.reshape(tokens.shape)
+        assert np.abs(out[perm] - out_perm).max() < 1e-12
 
 
 def scores_then_scale_attention(branch, v):
@@ -338,6 +364,10 @@ def test_selective_scan_matches_sequential_oracle():
     u = rng.standard_normal((16, 8))
     got = selective_scan(t64(u), params).data
     assert np.abs(got - naive_selective_scan(u, params)).max() < 1e-5
+    # the (batch, direction, T, C) layout that SsmBranch passes, at an odd T
+    u = rng.standard_normal((2, 4, 49, 8))
+    got = selective_scan(t64(u), params).data
+    assert np.abs(got - naive_selective_scan(u, params)).max() < 1e-12
 
 
 def test_selective_scan_small_step_limit_is_skip_path():

@@ -136,6 +136,15 @@ def test_adam_aborts_on_non_finite_gradient():
         opt.step()
 
 
+def test_adam_aborts_when_a_finite_float32_gradient_squares_to_inf():
+    # 1e20 is a finite float32, but its square overflows the second moment
+    p = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
+    opt = Adam([p], lr=1e-3)
+    p.grad = np.array([1e20, 1.0], dtype=np.float32)
+    with pytest.raises(NumericsError, match="step 1"):
+        opt.step()
+
+
 # -- metrics -----------------------------------------------------------------------
 
 
