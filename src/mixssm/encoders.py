@@ -210,10 +210,8 @@ class AttentionBranch(Module):
     softmax(q k^T) v is computed for blocks of ``_QUERY_BLOCK`` query rows and
     the rows are joined, so no (heads, T, T) score array exists at once: under
     ``no_grad`` each block's scores are freed before the next block's are
-    made (Rabe & Staats 2021, arXiv 2112.05682).  At T <= ``_QUERY_BLOCK``
-    there is one block, and the branch records the unblocked ops: no slice and
-    no one-part concat.  A recorded graph still keeps every block's
-    probabilities for backward.
+    made (Rabe & Staats 2021, arXiv 2112.05682).  A recorded graph still
+    keeps every block's probabilities for backward.
     """
 
     def __init__(
@@ -242,12 +240,13 @@ class AttentionBranch(Module):
         k = matmul(x, self.k_proj)
         vals = matmul(x, self.v_proj)
         keys = transpose(k, (1, 0))
-        if t <= _QUERY_BLOCK:
-            row_blocks = [q]
-        else:
-            row_blocks = [slice_(q, -2, s, s + _QUERY_BLOCK) for s in range(0, t, _QUERY_BLOCK)]
-        blocks = [matmul(softmax(matmul(rows, keys), axis=-1), vals) for rows in row_blocks]
-        mixed = blocks[0] if len(blocks) == 1 else concat(blocks, axis=-2)
+        mixed = concat(
+            [
+                matmul(softmax(matmul(slice_(q, -2, s, s + _QUERY_BLOCK), keys), axis=-1), vals)
+                for s in range(0, t, _QUERY_BLOCK)
+            ],
+            axis=-2,
+        )
         merged = reshape(transpose(mixed, (1, 0, 2)), (*lead, t, self.heads * self.head_dim))
         return reshape(matmul(merged, self.out_proj), (*lead, h, w, c))
 
