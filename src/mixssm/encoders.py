@@ -6,9 +6,13 @@ Each branch maps a feature map (..., H, W, C) to a same-shape map:
 * :class:`AttentionBranch` -- full multi-head self-attention over the
   flattened token sequence, in blocks of 256 query rows.
 * :class:`ChannelMlpBranch` -- per-position two-layer channel MLP.
-* :class:`SsmBranch` -- cross-scan into four directional sequences stacked
-  on one axis, an input-conditioned diagonal state-space scan of all four
-  at once, inverse reordering, summation and a pointwise output mix.
+* :class:`SsmBranch` -- an input-conditioned diagonal state-space scan of
+  the map's four directional traversals, stacked on one axis and scanned at
+  once; the per-token terms (step, input and output vectors, decay and
+  drive) are computed once on the grid and then reordered.  Inverse
+  reordering, summation and a pointwise output mix follow.  The scan is the
+  plain recurrence when no tape is recorded and a taped odd-even scan when
+  one is.
 
 Leading axes beyond (H, W, C) are treated as batch dimensions everywhere.
 """
@@ -31,6 +35,7 @@ from .tensor import (
     gelu,
     matmul,
     mul,
+    records,
     reshape,
     slice_,
     softmax,
@@ -90,18 +95,44 @@ def cross_merge(seqs: Tensor, h: int, w: int) -> Tensor:
 def linear_scan(decay: Tensor, x: Tensor) -> Tensor:
     """Inclusive scan of h_t = decay_t * h_{t-1} + x_t with h_0 = 0.
 
-    Operands are (..., T, C, N); time is the third axis from the end.
-    Computed by an odd-even (work-efficient) scan of vectorized ops instead
-    of a T-step python loop: adjacent steps are combined in pairs, the
-    half-length sequence is scanned recursively, and the even steps are
-    filled in from it.  The work and the tape stay O(T); the reassociated
-    products match the sequential recurrence up to roundoff.
+    Operands are (..., T, C, N) of one precision; time is the third axis from
+    the end.  The result is a fresh array, never a view of ``x``.
+
+    A call that records no tape node (:func:`~mixssm.tensor.records`: under
+    ``no_grad``, or when no operand requires grad) runs the recurrence as it
+    reads, one step at a time on raw arrays (Mamba's recurrent mode, Gu & Dao
+    2023, Sec. 3.3), and checks the result's finiteness once.  A recording
+    call runs an odd-even (work-efficient) scan of vectorized, taped ops:
+    adjacent steps are combined in pairs, the half-length sequence is scanned
+    recursively, and the even steps are filled in from it.  Its work and tape
+    stay O(T); the reassociated products match the recurrence up to roundoff.
     """
     if decay.shape != x.shape or x.ndim < 3:
         raise ShapeError(
             f"linear_scan: needs equal (..., T, C, N) shapes, got {decay.shape} and {x.shape}"
         )
-    return _odd_even_scan(decay, x, x.ndim - 3)
+    if decay.dtype != x.dtype:
+        raise TypeError(f"linear_scan: mixed precisions {decay.dtype} and {x.dtype}")
+    if records(decay, x):
+        return _odd_even_scan(decay, x, x.ndim - 3)
+    return Tensor(_recurrence(decay.data, x.data))
+
+
+def _recurrence(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """h_t = a_t * h_{t-1} + b_t along axis -3, step by step, into a fresh array.
+
+    Overflow is left to the caller's finiteness check.
+    """
+    out = np.empty(b.shape, dtype=b.dtype)
+    # time-major views: iterating one walks its steps
+    a_t, b_t, h = (np.moveaxis(arr, -3, 0) for arr in (a, b, out))
+    if len(h):
+        h[0] = b_t[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a_s, b_s, prev, step in zip(a_t[1:], b_t[1:], h, h[1:]):
+            np.multiply(a_s, prev, out=step)
+            np.add(step, b_s, out=step)
+    return out
 
 
 def _odd_even_scan(a: Tensor, b: Tensor, axis: int) -> Tensor:
@@ -140,10 +171,12 @@ def _odd_even_scan(a: Tensor, b: Tensor, axis: int) -> Tensor:
     return reshape(concat([h_even, h_odd], axis + 1), b.shape)
 
 
-def selective_scan(u: Tensor, params: "SsmBranch") -> Tensor:
-    """Input-conditioned diagonal SSM over a token sequence.
+def selective_scan(v: Tensor, params: "SsmBranch") -> Tensor:
+    """Input-conditioned diagonal SSM over the four :func:`cross_scan`
+    traversals of a (..., H, W, C) map; the result is (..., 4, H*W, C).
 
-    ``u``: (..., T, C).  Per channel c with state h in R^N and h_0 = 0:
+    Along each traversal u_1..u_T (T = H*W), per channel c with state h in
+    R^N and h_0 = 0:
 
         dt_t   = softplus(u_t @ W_dt + b_dt)            (per token, per channel)
         A_c    = -exp(a_log_c)                          (negative rates)
@@ -153,26 +186,34 @@ def selective_scan(u: Tensor, params: "SsmBranch") -> Tensor:
 
     where B_t = u_t @ W_B and C_t = u_t @ W_C are per-token N-vectors.
 
-    The drive (dt_t * u_t) B_t^T and the readout h_t C_t are batched matmuls
-    over the (..., T) axes, not a broadcast multiply and a sum over the short
-    trailing N axis: numpy runs such a sum and its broadcast backward with an
-    N-element inner loop, while matmul and its two adjoints are batched
-    matrix products.
+    dt, B, C, the decay and the drive depend on the token alone, not on the
+    traversal, so they are computed once on the grid and only then
+    reordered by :func:`cross_scan` (the trailing (C, N) viewed as C*N).
+    The scan, the readout and the skip run per direction.  The drive
+    (dt_t * u_t) B_t^T and the readout h_t C_t are batched matmuls, not a
+    broadcast multiply and a sum over the short trailing N axis: numpy runs
+    such a sum and its broadcast backward with an N-element inner loop,
+    while matmul and its two adjoints are batched matrix products.
     """
-    lead = u.shape[:-2]
-    t, c = u.shape[-2:]
-    n = params.state_dim
+    u = cross_scan(v)  # first, as it refuses anything but a (..., H, W, C) map
+    *lead, h, w, c = v.shape
+    t, n = h * w, params.state_dim
 
-    dt = softplus(add(matmul(u, params.dt_weight), params.dt_bias))
-    b_tok = matmul(u, params.b_weight)
-    c_tok = matmul(u, params.c_weight)
+    dt = softplus(add(matmul(v, params.dt_weight), params.dt_bias))
+    b_tok = matmul(v, params.b_weight)
+    c_tok = matmul(v, params.c_weight)
 
-    rates = mul(exp(params.a_log), Tensor(np.asarray(-1.0, dtype=u.dtype)))
-    decay = exp(mul(reshape(dt, (*lead, t, c, 1)), rates))
-    drive = matmul(reshape(mul(dt, u), (*lead, t, c, 1)), reshape(b_tok, (*lead, t, 1, n)))
-    h = linear_scan(decay, drive)
-    read = reshape(matmul(h, reshape(c_tok, (*lead, t, n, 1))), (*lead, t, c))
-    return add(read, mul(u, params.skip_gain))
+    rates = mul(exp(params.a_log), Tensor(np.asarray(-1.0, dtype=v.dtype)))
+    decay = exp(mul(reshape(dt, (*lead, h, w, c, 1)), rates))
+    drive = matmul(reshape(mul(dt, v), (*lead, h, w, c, 1)), reshape(b_tok, (*lead, h, w, 1, n)))
+
+    def traversals(grid: Tensor) -> Tensor:
+        """(..., H, W, C, N) -> (..., 4, T, C, N)."""
+        return reshape(cross_scan(reshape(grid, (*lead, h, w, c * n))), (*lead, 4, t, c, n))
+
+    states = linear_scan(traversals(decay), traversals(drive))
+    read = matmul(states, reshape(cross_scan(c_tok), (*lead, 4, t, n, 1)))
+    return add(reshape(read, (*lead, 4, t, c)), mul(u, params.skip_gain))
 
 
 # -- branches ----------------------------------------------------------------
@@ -300,5 +341,5 @@ class SsmBranch(Module):
 
     def __call__(self, v: Tensor) -> Tensor:
         h, w = v.shape[-3:-1]
-        merged = cross_merge(selective_scan(cross_scan(v), self), h, w)
+        merged = cross_merge(selective_scan(v, self), h, w)
         return add(matmul(merged, self.out_weight), self.out_bias)

@@ -11,10 +11,11 @@ maximum and reduce_max is an input element, and softmax outputs lie in
 An op output may share memory with its inputs (reshape, transpose, slice
 and flip return numpy views), so nothing writes into one.
 
-When any input of a primitive has ``requires_grad``, a :class:`TapeNode` is
-recorded; :meth:`Tensor.backward` replays the recorded graph in reverse
-topological order, releasing each node once its rule has run, and
-accumulates gradients on the leaves.  A graph is walked once; leaf grads
+When any input of a primitive has ``requires_grad`` outside a
+:func:`no_grad` block (:func:`records`), a :class:`TapeNode` is recorded;
+:meth:`Tensor.backward` replays the recorded graph in reverse topological
+order, releasing each node once its rule has run, and accumulates
+gradients on the leaves.  A graph is walked once; leaf grads
 accumulate across graphs until cleared.
 
 Broadcasting follows numpy's trailing-axis rule and nothing more: aligned
@@ -43,6 +44,7 @@ __all__ = [
     "Tensor",
     "TapeNode",
     "no_grad",
+    "records",
     "add",
     "mul",
     "matmul",
@@ -87,6 +89,12 @@ def no_grad() -> Iterator[None]:
         yield
     finally:
         _grad_mode.enabled = prev
+
+
+def records(*inputs: "Tensor") -> bool:
+    """Whether an op on ``inputs`` records a tape node: recording is on in
+    this thread (no :func:`no_grad` block) and some input requires grad."""
+    return _grad_mode.enabled and any(inp.requires_grad for inp in inputs)
 
 
 class TapeNode:
@@ -222,7 +230,7 @@ def _result(op: str, out: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -
     t = Tensor.__new__(Tensor)
     t.data = out
     t.grad = None
-    if _grad_mode.enabled and any(inp.requires_grad for inp in inputs):
+    if records(*inputs):
         t.requires_grad = True
         t.node = TapeNode(op, inputs, backward_fn)
     else:

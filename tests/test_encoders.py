@@ -1,6 +1,7 @@
 """Branch tests: each against a directly scripted oracle or exact identity."""
 
 import math
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -16,13 +17,14 @@ from mixssm.encoders import (
     linear_scan,
     selective_scan,
 )
-from mixssm.errors import ShapeError
+from mixssm.errors import NumericsError, ShapeError
 from mixssm.gradcheck import finite_diff_check
 from mixssm.tensor import (
     Tensor,
     add,
     concat,
     conv2d,
+    exp,
     flip,
     gelu,
     matmul,
@@ -31,6 +33,7 @@ from mixssm.tensor import (
     reduce_sum,
     reshape,
     slice_,
+    softplus,
     transpose,
 )
 
@@ -320,19 +323,50 @@ SCAN_LENGTHS = list(range(71)) + [196, 784, 3136]
 
 @pytest.mark.parametrize("t", SCAN_LENGTHS)
 def test_linear_scan_matches_doubling_reference_and_sequential_loop(t):
-    rng = np.random.default_rng(1000 + t)
-    decay, drive = scan_operands(rng, t, np.float64)
-    got = linear_scan(t64(decay), t64(drive))
-    assert got.shape == drive.shape and got.dtype == np.float64
-    if t:
-        assert np.abs(got.data - sequential_scan(decay, drive)).max() < 1e-12
+    # operands that require grad run the taped odd-even scan; under no_grad
+    # the same operands run the tape-free recurrence
+    for taped in (True, False):
+        rng = np.random.default_rng(1000 + t)
+        with nullcontext() if taped else no_grad():
+            decay, drive = scan_operands(rng, t, np.float64)
+            got = linear_scan(*(Tensor(a, requires_grad=True) for a in (decay, drive)))
+            assert got.shape == drive.shape and got.dtype == np.float64
+            assert got.requires_grad is taped
+            if t:
+                assert np.abs(got.data - sequential_scan(decay, drive)).max() < 1e-12
 
-    decay32, drive32 = scan_operands(rng, t, np.float32)
-    got32 = linear_scan(Tensor(decay32), Tensor(drive32))
-    assert got32.shape == drive32.shape and got32.dtype == np.float32
-    if t:
-        oracle = sequential_scan(decay32.astype(np.float64), drive32.astype(np.float64))
-        assert np.abs(got32.data - oracle).max() < 1e-5
+            decay32, drive32 = scan_operands(rng, t, np.float32)
+            got32 = linear_scan(*(Tensor(a, requires_grad=True) for a in (decay32, drive32)))
+            assert got32.shape == drive32.shape and got32.dtype == np.float32
+            if t:
+                oracle = sequential_scan(decay32.astype(np.float64), drive32.astype(np.float64))
+                assert np.abs(got32.data - oracle).max() < 1e-5
+
+
+def test_linear_scan_without_tape_edge_cases():
+    rng = np.random.default_rng(1100)
+    for t in (0, 1, 5):
+        decay, drive = (t64(a) for a in scan_operands(rng, t, np.float64))
+        got = linear_scan(decay, drive)
+        assert got.shape == (2, 4, t, 3, 2) and not got.requires_grad
+        assert not np.shares_memory(got.data, drive.data)
+        if t == 1:
+            assert np.array_equal(got.data, drive.data)
+
+
+@pytest.mark.parametrize("taped", [True, False])
+def test_linear_scan_overflow_raises_numerics_error(taped):
+    decay = Tensor(np.ones((2, 1, 1), dtype=np.float32), requires_grad=True)
+    drive = Tensor(np.full((2, 1, 1), 3e38, dtype=np.float32), requires_grad=True)
+    with nullcontext() if taped else no_grad(), pytest.raises(NumericsError):
+        linear_scan(decay, drive)
+
+
+def test_linear_scan_rejects_mixed_precisions():
+    rng = np.random.default_rng(1200)
+    decay, drive = scan_operands(rng, 5, np.float64)
+    with pytest.raises(TypeError):
+        linear_scan(t64(decay), Tensor(drive.astype(np.float32)))
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 5, 7, 16, 49])
@@ -362,12 +396,16 @@ def test_selective_scan_matches_sequential_oracle():
     rng = np.random.default_rng(12)
     params = SsmBranch(8, state_dim=4, rng=rng, dtype=np.float64)
     u = rng.standard_normal((16, 8))
-    got = selective_scan(t64(u), params).data
-    assert np.abs(got - naive_selective_scan(u, params)).max() < 1e-5
-    # the (batch, direction, T, C) layout that SsmBranch passes, at an odd T
-    u = rng.standard_normal((2, 4, 49, 8))
-    got = selective_scan(t64(u), params).data
-    assert np.abs(got - naive_selective_scan(u, params)).max() < 1e-12
+    v = rng.standard_normal((2, 7, 7, 8))
+    for mode in (nullcontext, no_grad):
+        with mode():
+            # the row-major traversal of a 1 x T map is the sequence itself
+            got = selective_scan(t64(u.reshape(1, 16, 8)), params).data
+            assert np.abs(got[0] - naive_selective_scan(u, params)).max() < 1e-5
+            # a batch of odd-sided maps, all four traversals (T = 49)
+            got = selective_scan(t64(v), params).data
+            want = naive_selective_scan(cross_scan(t64(v)).data, params)
+            assert np.abs(got - want).max() < 1e-12
 
 
 def test_selective_scan_small_step_limit_is_skip_path():
@@ -375,9 +413,29 @@ def test_selective_scan_small_step_limit_is_skip_path():
     params = SsmBranch(4, state_dim=3, rng=rng, dtype=np.float64)
     params.dt_weight.data = np.zeros_like(params.dt_weight.data)
     params.dt_bias.data = np.full_like(params.dt_bias.data, np.log(np.expm1(1e-8)))
-    u = rng.standard_normal((12, 4))
-    out = selective_scan(t64(u), params).data
-    assert np.abs(out - params.skip_gain.data * u).max() < 1e-5
+    v = rand64(rng, (3, 4, 4))
+    out = selective_scan(v, params).data
+    assert np.abs(out - params.skip_gain.data * cross_scan(v).data).max() < 1e-5
+
+
+def test_selective_scan_computes_per_token_terms_once(monkeypatch):
+    # dt and the decay belong to a token, not to a traversal: one softplus
+    # over the H x W x C grid and one decay exp over H x W x C x N, not four
+    sizes = {"softplus": [], "exp": []}
+
+    def counting(name, op):
+        def counted(x):
+            sizes[name].append(x.size)
+            return op(x)
+        return counted
+
+    for name in sizes:
+        monkeypatch.setattr(encoders, name, counting(name, getattr(encoders, name)))
+    c, n = 6, 4
+    branch = SsmBranch(c, state_dim=n, rng=np.random.default_rng(16))
+    branch(Tensor(np.random.default_rng(17).standard_normal((5, 4, c)).astype(np.float32)))
+    assert sizes["softplus"] == [5 * 4 * c]
+    assert sizes["exp"] == [c * n, 5 * 4 * c * n]  # the rates A = -exp(a_log), then the decay
 
 
 # -- assembled SSM branch --------------------------------------------------------------
@@ -387,8 +445,9 @@ def test_ssm_branch_single_position_is_four_times_token_scan():
     rng = np.random.default_rng(14)
     branch = SsmBranch(6, state_dim=4, rng=rng, dtype=np.float64)
     v = rand64(rng, (1, 1, 6))
-    token = reshape(v, (1, 6))
-    y = selective_scan(token, branch).data
+    directions = selective_scan(v, branch).data
+    y = directions[0]
+    assert all(np.array_equal(d, y) for d in directions)
     want = (4.0 * y) @ branch.out_weight.data + branch.out_bias.data
     assert np.allclose(branch(v).data.reshape(1, 6), want)
 
@@ -409,16 +468,34 @@ def test_ssm_branch_zero_input_zero_output():
 
 
 def list_based_ssm_branch(branch, v):
-    """SsmBranch forward with the directions kept as a python list: four
-    traversals concatenated for one scan, sliced apart again, and put back
-    on the grid one by one before the (g1 + g2) + (g3 + g4) sum."""
+    """SsmBranch forward with the directions kept as a python list: the
+    per-token terms computed on the grid, each unrolled into four traversals
+    concatenated for one scan, the scan's output sliced apart again and put
+    back on the grid one by one before the (g1 + g2) + (g3 + g4) sum."""
     *lead, h, w, c = v.shape
-    t, nl = h * w, len(lead)
+    t, n, nl = h * w, branch.state_dim, len(lead)
     to_cols = tuple(range(nl)) + (nl + 1, nl, nl + 2)
-    d1 = reshape(v, (*lead, t, c))
-    d3 = reshape(transpose(v, to_cols), (*lead, t, c))
-    seqs = [d1, flip(d1, axis=-2), d3, flip(d3, axis=-2)]
-    scanned = selective_scan(concat([reshape(s, (*lead, 1, t, c)) for s in seqs], axis=-3), branch)
+
+    def traversals(grid):
+        """(..., H, W, K) -> (..., 4, T, K), one direction at a time."""
+        k = grid.shape[-1]
+        d1 = reshape(grid, (*lead, t, k))
+        d3 = reshape(transpose(grid, to_cols), (*lead, t, k))
+        seqs = [d1, flip(d1, axis=-2), d3, flip(d3, axis=-2)]
+        return concat([reshape(s, (*lead, 1, t, k)) for s in seqs], axis=-3)
+
+    dt = softplus(add(matmul(v, branch.dt_weight), branch.dt_bias))
+    b_tok = matmul(v, branch.b_weight)
+    c_tok = matmul(v, branch.c_weight)
+    rates = mul(exp(branch.a_log), Tensor(np.asarray(-1.0, dtype=v.dtype)))
+    decay = exp(mul(reshape(dt, (*lead, h, w, c, 1)), rates))
+    drive = matmul(reshape(mul(dt, v), (*lead, h, w, c, 1)), reshape(b_tok, (*lead, h, w, 1, n)))
+    decays, drives = (
+        reshape(traversals(reshape(g, (*lead, h, w, c * n))), (*lead, 4, t, c, n))
+        for g in (decay, drive)
+    )
+    read = matmul(linear_scan(decays, drives), reshape(traversals(c_tok), (*lead, 4, t, n, 1)))
+    scanned = add(reshape(read, (*lead, 4, t, c)), mul(traversals(v), branch.skip_gain))
     outs = []
     for k in range(4):
         outs.append(reshape(slice_(scanned, nl, k, k + 1), (*lead, t, c)))
