@@ -20,6 +20,8 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, nullcontext
 
+import numpy as np
+
 from .config import TRAIN_FIELDS, RunConfig, emit_config, load_config_file
 from .data import Dataset, generate_synthetic, load_image_folder
 from .errors import ConfigError, NumericsError
@@ -311,7 +313,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        # an overflow ends in NumericsError (exit 2), not in a RuntimeWarning
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return args.handler(args)
     except (_UsageError, OSError, ValueError) as exc:
         # ConfigError, DataError, CheckpointError and ShapeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

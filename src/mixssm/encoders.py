@@ -2,7 +2,7 @@
 
 Each branch maps a feature map (..., H, W, C) to a same-shape map:
 
-* :class:`ConvBranch` -- one SAME 3x3 convolution plus activation.
+* :class:`ConvBranch` -- one SAME 3x3 convolution plus GELU.
 * :class:`AttentionBranch` -- full multi-head self-attention over the
   flattened token sequence, in blocks of 256 query rows.
 * :class:`ChannelMlpBranch` -- per-position two-layer channel MLP.
@@ -10,9 +10,9 @@ Each branch maps a feature map (..., H, W, C) to a same-shape map:
   the map's four directional traversals, stacked on one axis and scanned at
   once; the per-token terms (step, input and output vectors, decay and
   drive) are computed once on the grid and then reordered.  Inverse
-  reordering, summation and a pointwise output mix follow.  The scan is the
-  plain recurrence when no tape is recorded and a taped odd-even scan when
-  one is.
+  reordering and summation of the readouts, the skip term added once on the
+  grid and a pointwise output mix follow.  The scan is the plain recurrence
+  when no tape is recorded and a taped odd-even scan when one is.
 
 Leading axes beyond (H, W, C) are treated as batch dimensions everywhere.
 """
@@ -54,7 +54,8 @@ __all__ = [
     "selective_scan",
 ]
 
-_ACTIVATIONS = {"gelu": gelu, "identity": lambda t: t}
+# read only by bench/tracer.py's PRIMITIVE_TABLES; ConvBranch calls gelu directly
+_ACTIVATIONS = {"gelu": gelu}
 
 
 # -- directional unrolling ---------------------------------------------------
@@ -96,7 +97,9 @@ def linear_scan(decay: Tensor, x: Tensor) -> Tensor:
     """Inclusive scan of h_t = decay_t * h_{t-1} + x_t with h_0 = 0.
 
     Operands are (..., T, C, N) of one precision; time is the third axis from
-    the end.  The result is a fresh array, never a view of ``x``.
+    the end.  The result is a fresh array, except that a recording call with
+    T <= 1 returns ``x`` itself (h = x there, and nothing writes into op
+    outputs).
 
     A call that records no tape node (:func:`~mixssm.tensor.records`: under
     ``no_grad``, or when no operand requires grad) runs the recurrence as it
@@ -173,7 +176,8 @@ def _odd_even_scan(a: Tensor, b: Tensor, axis: int) -> Tensor:
 
 def selective_scan(v: Tensor, params: "SsmBranch") -> Tensor:
     """Input-conditioned diagonal SSM over the four :func:`cross_scan`
-    traversals of a (..., H, W, C) map; the result is (..., 4, H*W, C).
+    traversals of a (..., H, W, C) map; the result is the readouts
+    (..., 4, H*W, C), without the skip term.
 
     Along each traversal u_1..u_T (T = H*W), per channel c with state h in
     R^N and h_0 = 0:
@@ -182,26 +186,28 @@ def selective_scan(v: Tensor, params: "SsmBranch") -> Tensor:
         A_c    = -exp(a_log_c)                          (negative rates)
         Abar_t = exp(dt_t * A_c)                        (diagonal decay in [0, 1])
         h_t    = Abar_t * h_{t-1} + (dt_t * u_{t,c}) * B_t
-        y_t,c  = <C_t, h_t> + d_skip_c * u_{t,c}
+        y_t,c  = <C_t, h_t>
 
-    where B_t = u_t @ W_B and C_t = u_t @ W_C are per-token N-vectors.
+    where B_t = u_t @ W_B and C_t = u_t @ W_C are per-token N-vectors.  The
+    skip d_skip_c * u_{t,c} of each traversal is left to
+    :class:`SsmBranch`: mapped back onto the grid the four are 4 * d_skip * v.
 
     dt, B, C, the decay and the drive depend on the token alone, not on the
     traversal, so they are computed once on the grid and only then
     reordered by :func:`cross_scan` (the trailing (C, N) viewed as C*N).
-    The scan, the readout and the skip run per direction.  The drive
-    (dt_t * u_t) B_t^T and the readout h_t C_t are batched matmuls, not a
-    broadcast multiply and a sum over the short trailing N axis: numpy runs
-    such a sum and its broadcast backward with an N-element inner loop,
-    while matmul and its two adjoints are batched matrix products.
+    The scan and the readout run per direction.  The drive (dt_t * u_t) B_t^T
+    and the readout h_t C_t are batched matmuls, not a broadcast multiply and
+    a sum over the short trailing N axis: numpy runs such a sum and its
+    broadcast backward with an N-element inner loop, while matmul and its two
+    adjoints are batched matrix products.
     """
-    u = cross_scan(v)  # first, as it refuses anything but a (..., H, W, C) map
+    # first, as cross_scan refuses anything but a (..., H, W, C) map
+    c_seq = cross_scan(matmul(v, params.c_weight))
     *lead, h, w, c = v.shape
     t, n = h * w, params.state_dim
 
     dt = softplus(add(matmul(v, params.dt_weight), params.dt_bias))
     b_tok = matmul(v, params.b_weight)
-    c_tok = matmul(v, params.c_weight)
 
     rates = mul(exp(params.a_log), Tensor(np.asarray(-1.0, dtype=v.dtype)))
     decay = exp(mul(reshape(dt, (*lead, h, w, c, 1)), rates))
@@ -212,32 +218,24 @@ def selective_scan(v: Tensor, params: "SsmBranch") -> Tensor:
         return reshape(cross_scan(reshape(grid, (*lead, h, w, c * n))), (*lead, 4, t, c, n))
 
     states = linear_scan(traversals(decay), traversals(drive))
-    read = matmul(states, reshape(cross_scan(c_tok), (*lead, 4, t, n, 1)))
-    return add(reshape(read, (*lead, 4, t, c)), mul(u, params.skip_gain))
+    read = matmul(states, reshape(c_seq, (*lead, 4, t, n, 1)))
+    return reshape(read, (*lead, 4, t, c))
 
 
 # -- branches ----------------------------------------------------------------
 
 
 class ConvBranch(Module):
-    """Shape-preserving SAME 3x3 convolution (kernel layout kh,kw,cin,cout) plus activation."""
+    """Shape-preserving SAME 3x3 convolution (kernel layout kh,kw,cin,cout) plus GELU."""
 
-    def __init__(
-        self,
-        channels: int,
-        *,
-        rng: np.random.Generator,
-        dtype=np.float32,
-        activation: str = "gelu",
-    ):
+    def __init__(self, channels: int, *, rng: np.random.Generator, dtype=np.float32):
         self.weight = Tensor(
             trunc_normal(rng, (3, 3, channels, channels), dtype=dtype), requires_grad=True
         )
         self.bias = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
-        self.act = activation
 
     def __call__(self, v: Tensor) -> Tensor:
-        return _ACTIVATIONS[self.act](add(conv2d(v, self.weight), self.bias))
+        return gelu(add(conv2d(v, self.weight), self.bias))
 
 
 # query rows per attention block: smaller blocks add op calls, larger ones
@@ -310,11 +308,12 @@ class ChannelMlpBranch(Module):
 class SsmBranch(Module):
     """Cross-scan selective SSM branch.
 
-    The four scan directions share one set of dt/B/C projections.  The
-    diagonal rates are stored as ``a_log`` and used as A = -exp(a_log), so no
-    finite parameter value gives a per-step decay above 1; ``a_log`` starts
-    at log(1..N) per channel.  The dt bias is drawn so softplus lands in
-    [1e-3, 1e-1].
+    The four scan directions share one set of dt/B/C projections and one
+    skip gain D, so their four skips D * u sum on the grid to 4 * D * v,
+    which is added once to the merged readouts.  The diagonal rates are
+    stored as ``a_log`` and used as A = -exp(a_log), so no finite parameter
+    value gives a per-step decay above 1; ``a_log`` starts at log(1..N) per
+    channel.  The dt bias is drawn so softplus lands in [1e-3, 1e-1].
     """
 
     def __init__(
@@ -340,6 +339,7 @@ class SsmBranch(Module):
         self.out_bias = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
 
     def __call__(self, v: Tensor) -> Tensor:
-        h, w = v.shape[-3:-1]
-        merged = cross_merge(selective_scan(v, self), h, w)
+        read = selective_scan(v, self)  # first, as it refuses anything but a (..., H, W, C) map
+        four = Tensor(np.asarray(4.0, dtype=v.dtype))
+        merged = add(cross_merge(read, *v.shape[-3:-1]), mul(v, mul(self.skip_gain, four)))
         return add(matmul(merged, self.out_weight), self.out_bias)

@@ -4,10 +4,16 @@ Values live in numpy arrays, in one of two precisions chosen at
 construction time: float32 for training and inference, float64 for gradient
 checking.  Overflow or a domain error surfaces as :class:`NumericsError`
 instead of propagating NaN/Inf: every op whose finite inputs can give a
-non-finite result checks its result.  Eight ops cannot, so they skip that
+non-finite result checks its result.  Ten ops cannot, so they skip that
 pass: every output element of reshape, transpose, slice, concat, flip,
-maximum and reduce_max is an input element, and softmax outputs lie in
-[0, 1] (``_FINITE_PRESERVING``).
+maximum and reduce_max is an input element, softmax outputs lie in [0, 1],
+|gelu(x)| <= |x|, and softplus(x) <= max(x, 0) + log 2
+(``_FINITE_PRESERVING``).  An overflowing op still lets numpy emit its
+``RuntimeWarning`` before the check raises, unless the op silences it
+(exp, log, sqrt, softmax) or the caller does: ``cli.main``, ``train`` and
+``evaluate`` run under ``np.errstate``, so under ``python -W error`` they
+still end in :class:`NumericsError`, while a direct ``add``, ``mul`` or
+``matmul`` call raises the warning first.
 An op output may share memory with its inputs (reshape, transpose, slice
 and flip return numpy views), so nothing writes into one.
 
@@ -217,7 +223,8 @@ class Tensor:
 # written into a leaf in place escapes the first check; it surfaces at the
 # first op outside this set that it reaches.
 _FINITE_PRESERVING = frozenset(
-    {"reshape", "transpose", "slice", "concat", "flip", "maximum", "reduce_max", "softmax"}
+    {"reshape", "transpose", "slice", "concat", "flip", "maximum", "reduce_max", "softmax",
+     "gelu", "softplus"}
 )
 
 

@@ -128,29 +128,32 @@ def train(
     pool_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xB00C]))
     records: list[EpochRecord] = []
     n = len(dataset)
-    for epoch in range(epochs):
-        order = shuffle_rng.permutation(n)
-        total_loss = 0.0
-        correct = 0
-        for batch_index, start in enumerate(range(0, n, batch_size)):
-            idx = order[start : start + batch_size]
-            images = Tensor(dataset.images[idx])
-            labels = dataset.labels[idx]
-            try:
-                probs = model.forward_classify(images, rng=pool_rng)
-                loss = cross_entropy_loss(probs, labels)
-                model.zero_grad()
-                loss.backward()
-                optimizer.step()
-            except NumericsError as exc:
-                raise NumericsError(
-                    f"training aborted at epoch {epoch} batch {batch_index}: {exc}"
-                ) from exc
-            total_loss += loss.item() * len(idx)
-            correct += int((np.argmax(probs.data, axis=-1) == labels).sum())
-        records.append(
-            EpochRecord(epoch=epoch, mean_loss=total_loss / n, train_acc=correct / n)
-        )
+    # an overflow surfaces as the NumericsError of a result check, not as a
+    # RuntimeWarning (a pool thread starts from numpy's default error state)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            order = shuffle_rng.permutation(n)
+            total_loss = 0.0
+            correct = 0
+            for batch_index, start in enumerate(range(0, n, batch_size)):
+                idx = order[start : start + batch_size]
+                images = Tensor(dataset.images[idx])
+                labels = dataset.labels[idx]
+                try:
+                    probs = model.forward_classify(images, rng=pool_rng)
+                    loss = cross_entropy_loss(probs, labels)
+                    model.zero_grad()
+                    loss.backward()
+                    optimizer.step()
+                except NumericsError as exc:
+                    raise NumericsError(
+                        f"training aborted at epoch {epoch} batch {batch_index}: {exc}"
+                    ) from exc
+                total_loss += loss.item() * len(idx)
+                correct += int((np.argmax(probs.data, axis=-1) == labels).sum())
+            records.append(
+                EpochRecord(epoch=epoch, mean_loss=total_loss / n, train_acc=correct / n)
+            )
     return model, records
 
 
@@ -196,7 +199,7 @@ def evaluate(model: Model, dataset: Dataset) -> Metrics:
     """
     _check_dataset(model, dataset, "evaluate")
     preds = []
-    with no_grad():
+    with no_grad(), np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for start in range(0, len(dataset), EVAL_BATCH):
             images = Tensor(dataset.images[start : start + EVAL_BATCH])
             probs = model.forward_classify(images)

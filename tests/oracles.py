@@ -7,7 +7,8 @@ import numpy as np
 
 
 def naive_selective_scan(u, p):
-    """Sequential recurrence evaluated directly from the documented equations."""
+    """Sequential recurrence evaluated directly from the documented equations:
+    the readouts <C_t, h_t> of one traversal, without the skip term."""
     t_len, c = u.shape[-2:]
     n = p.state_dim
     dt = np.logaddexp(0.0, u @ p.dt_weight.data + p.dt_bias.data)
@@ -20,8 +21,22 @@ def naive_selective_scan(u, p):
         decay = np.exp(dt[..., t, :, None] * a)
         drive = (dt[..., t, :] * u[..., t, :])[..., None] * b_tok[..., t, None, :]
         h = decay * h + drive
-        y[..., t, :] = (h * c_tok[..., t, None, :]).sum(-1) + p.skip_gain.data * u[..., t, :]
+        y[..., t, :] = (h * c_tok[..., t, None, :]).sum(-1)
     return y
+
+
+def naive_ssm_branch(v, branch):
+    """The SSM branch on a (..., H, W, C) map: each of the four traversals
+    (row-major, its reverse, column-major, its reverse) picked out by an index
+    array, run through :func:`naive_selective_scan`, put back on the grid and
+    summed, plus the four skips 4 * D * v, then the output projection."""
+    *lead, h, w, c = v.shape
+    grid = np.arange(h * w).reshape(h, w)
+    tokens = v.reshape(*lead, h * w, c)
+    merged = 4.0 * branch.skip_gain.data * tokens
+    for order in (grid.ravel(), grid.ravel()[::-1], grid.T.ravel(), grid.T.ravel()[::-1]):
+        merged[..., order, :] += naive_selective_scan(tokens[..., order, :], branch)
+    return (merged @ branch.out_weight.data + branch.out_bias.data).reshape(v.shape)
 
 
 def naive_attention(x, wq, wk, wv, wo):

@@ -4,6 +4,8 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,8 @@ from mixssm.errors import CheckpointError, ConfigError
 from mixssm.network import (
     BRANCH_NAMES, Model, ModelConfig, desk_config, load_checkpoint, save_checkpoint,
 )
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 MICRO_CONFIG = {
     "input_size": [16, 16],
@@ -178,6 +182,25 @@ def test_numerical_abort_exits_2(workdir, capsys):
     code = main(["eval", "--ckpt", poisoned, "--data", workdir["data"]])
     assert code == 2
     assert "numerical abort" in capsys.readouterr().err
+
+
+def test_numerical_abort_exits_2_under_warnings_as_errors(workdir):
+    # a float32 patch bias of 3e38 overflows the layer-norm mean right after
+    # the embedding; numpy's RuntimeWarning must not preempt the exit code
+    model = Model(micro_model_config())
+    model.patch_embed.bias.data[:] = 3e38
+    poisoned = str(workdir["root"] / "huge_bias.ckpt")
+    save_checkpoint(model, poisoned)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "mixssm.cli", "eval",
+         "--ckpt", poisoned, "--data", workdir["data"]],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "numerical abort" in proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
 
 
 # -- gradcheck ----------------------------------------------------------------------

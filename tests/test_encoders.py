@@ -37,7 +37,7 @@ from mixssm.tensor import (
     transpose,
 )
 
-from oracles import five_loop_conv_same, naive_attention, naive_selective_scan
+from oracles import five_loop_conv_same, naive_attention, naive_selective_scan, naive_ssm_branch
 
 
 def t64(values):
@@ -50,6 +50,9 @@ def rand64(rng, shape):
 
 # -- conv branch ----------------------------------------------------------------
 
+# the branch is gelu(add(conv2d(v, weight), bias)) bitwise (checked below); the
+# other conv tests check the convolution plus bias that gelu is applied to
+
 
 def identity_kernel(size, channels):
     """A size x size kernel whose center tap is the channel identity."""
@@ -60,32 +63,34 @@ def identity_kernel(size, channels):
 
 def test_conv_branch_identity_kernel():
     rng = np.random.default_rng(0)
-    branch = ConvBranch(3, rng=np.random.default_rng(0), dtype=np.float64, activation="identity")
-    branch.weight.data = identity_kernel(3, 3)
-    branch.bias.data = np.zeros(3)
     v = rand64(rng, (5, 4, 3))
-    assert np.array_equal(branch(v).data, v.data)
+    assert np.array_equal(add(conv2d(v, t64(identity_kernel(3, 3))), t64(np.zeros(3))).data, v.data)
     # the same holds for a 1x1 kernel
     assert np.array_equal(conv2d(v, t64(identity_kernel(1, 3))).data, v.data)
 
 
 def test_conv_branch_bias_only():
-    branch = ConvBranch(2, rng=np.random.default_rng(0), dtype=np.float64, activation="identity")
-    branch.weight.data = np.zeros_like(branch.weight.data)
-    branch.bias.data = np.array([5.0, -1.0])
-    out = branch(t64(np.random.default_rng(1).standard_normal((3, 3, 2))))
+    x = t64(np.random.default_rng(1).standard_normal((3, 3, 2)))
+    out = add(conv2d(x, t64(np.zeros((3, 3, 2, 2)))), t64([5.0, -1.0]))
     assert np.allclose(out.data[..., 0], 5.0) and np.allclose(out.data[..., 1], -1.0)
 
 
 def test_conv_branch_matches_nested_loop_oracle():
     rng = np.random.default_rng(2)
-    branch = ConvBranch(2, rng=np.random.default_rng(0), dtype=np.float64, activation="identity")
-    branch.weight.data = rng.standard_normal((3, 3, 2, 2))
-    branch.bias.data = rng.standard_normal(2)
+    weight, bias = rng.standard_normal((3, 3, 2, 2)), rng.standard_normal(2)
     x = rng.standard_normal((5, 5, 2))
-    got = branch(t64(x)).data
-    want = five_loop_conv_same(x, branch.weight.data, branch.bias.data)
+    got = add(conv2d(t64(x), t64(weight)), t64(bias)).data
+    want = five_loop_conv_same(x, weight, bias)
     assert np.abs(got - want).max() < 1e-6
+
+
+def test_conv_branch_is_gelu_of_convolution_plus_bias_bitwise():
+    rng = np.random.default_rng(3)
+    branch = ConvBranch(4, rng=rng)
+    branch.bias.data = rng.standard_normal(4).astype(np.float32)
+    x = Tensor(rng.standard_normal((2, 5, 3, 4)).astype(np.float32))
+    want = gelu(add(conv2d(x, branch.weight), branch.bias)).data
+    assert np.array_equal(branch(x).data, want)
 
 
 def test_conv_branch_channel_mismatch_errors():
@@ -387,7 +392,12 @@ def test_linear_scan_single_step_gives_decay_no_gradient():
     rng = np.random.default_rng(2100)
     decay = Tensor(np.exp(-rng.uniform(0.05, 1.0, (1, 2, 3))), requires_grad=True)
     drive = Tensor(rng.standard_normal((1, 2, 3)), requires_grad=True)
-    reduce_sum(linear_scan(decay, drive)).backward()
+    h = linear_scan(decay, drive)
+    # a recording call with T <= 1 returns the drive itself, not a copy
+    assert h is drive
+    empty = Tensor(np.zeros((0, 2, 3)), requires_grad=True)
+    assert linear_scan(empty, empty) is empty
+    reduce_sum(h).backward()
     assert decay.grad is None
     assert np.array_equal(drive.grad, np.ones((1, 2, 3)))
 
@@ -409,19 +419,25 @@ def test_selective_scan_matches_sequential_oracle():
 
 
 def test_selective_scan_small_step_limit_is_skip_path():
+    # as dt -> 0 the readouts vanish and the branch is its skip, (4 D v) W_out + b
     rng = np.random.default_rng(13)
     params = SsmBranch(4, state_dim=3, rng=rng, dtype=np.float64)
     params.dt_weight.data = np.zeros_like(params.dt_weight.data)
     params.dt_bias.data = np.full_like(params.dt_bias.data, np.log(np.expm1(1e-8)))
+    params.skip_gain.data = rng.standard_normal(4)
+    params.out_bias.data = rng.standard_normal(4)
     v = rand64(rng, (3, 4, 4))
-    out = selective_scan(v, params).data
-    assert np.abs(out - params.skip_gain.data * cross_scan(v).data).max() < 1e-5
+    assert np.abs(selective_scan(v, params).data).max() < 1e-5
+    skip = (4.0 * params.skip_gain.data * v.data) @ params.out_weight.data + params.out_bias.data
+    assert np.abs(params(v).data - skip).max() < 1e-5
 
 
 def test_selective_scan_computes_per_token_terms_once(monkeypatch):
     # dt and the decay belong to a token, not to a traversal: one softplus
-    # over the H x W x C grid and one decay exp over H x W x C x N, not four
-    sizes = {"softplus": [], "exp": []}
+    # over the H x W x C grid and one decay exp over H x W x C x N, not four;
+    # only C, the decay and the drive are cross-scanned (the skip is added
+    # once on the grid), each as one map of H x W tokens
+    sizes = {"softplus": [], "exp": [], "cross_scan": []}
 
     def counting(name, op):
         def counted(x):
@@ -436,6 +452,7 @@ def test_selective_scan_computes_per_token_terms_once(monkeypatch):
     branch(Tensor(np.random.default_rng(17).standard_normal((5, 4, c)).astype(np.float32)))
     assert sizes["softplus"] == [5 * 4 * c]
     assert sizes["exp"] == [c * n, 5 * 4 * c * n]  # the rates A = -exp(a_log), then the decay
+    assert sizes["cross_scan"] == [5 * 4 * n, 5 * 4 * c * n, 5 * 4 * c * n]
 
 
 # -- assembled SSM branch --------------------------------------------------------------
@@ -448,7 +465,8 @@ def test_ssm_branch_single_position_is_four_times_token_scan():
     directions = selective_scan(v, branch).data
     y = directions[0]
     assert all(np.array_equal(d, y) for d in directions)
-    want = (4.0 * y) @ branch.out_weight.data + branch.out_bias.data
+    skip = branch.skip_gain.data * v.data.reshape(1, 6)
+    want = (4.0 * y + 4.0 * skip) @ branch.out_weight.data + branch.out_bias.data
     assert np.allclose(branch(v).data.reshape(1, 6), want)
 
 
@@ -470,8 +488,9 @@ def test_ssm_branch_zero_input_zero_output():
 def list_based_ssm_branch(branch, v):
     """SsmBranch forward with the directions kept as a python list: the
     per-token terms computed on the grid, each unrolled into four traversals
-    concatenated for one scan, the scan's output sliced apart again and put
-    back on the grid one by one before the (g1 + g2) + (g3 + g4) sum."""
+    concatenated for one scan, the readouts sliced apart again and put back
+    on the grid one by one before the (g1 + g2) + (g3 + g4) sum, to which the
+    skip 4 * D * v is added."""
     *lead, h, w, c = v.shape
     t, n, nl = h * w, branch.state_dim, len(lead)
     to_cols = tuple(range(nl)) + (nl + 1, nl, nl + 2)
@@ -495,7 +514,7 @@ def list_based_ssm_branch(branch, v):
         for g in (decay, drive)
     )
     read = matmul(linear_scan(decays, drives), reshape(traversals(c_tok), (*lead, 4, t, n, 1)))
-    scanned = add(reshape(read, (*lead, 4, t, c)), mul(traversals(v), branch.skip_gain))
+    scanned = reshape(read, (*lead, 4, t, c))
     outs = []
     for k in range(4):
         outs.append(reshape(slice_(scanned, nl, k, k + 1), (*lead, t, c)))
@@ -503,8 +522,22 @@ def list_based_ssm_branch(branch, v):
     g2 = reshape(flip(outs[1], axis=-2), (*lead, h, w, c))
     g3 = transpose(reshape(outs[2], (*lead, w, h, c)), to_cols)
     g4 = transpose(reshape(flip(outs[3], axis=-2), (*lead, w, h, c)), to_cols)
-    merged = add(add(g1, g2), add(g3, g4))
+    four = Tensor(np.asarray(4.0, dtype=v.dtype))
+    merged = add(add(add(g1, g2), add(g3, g4)), mul(v, mul(branch.skip_gain, four)))
     return add(matmul(merged, branch.out_weight), branch.out_bias)
+
+
+@pytest.mark.parametrize("taped", [True, False])
+def test_ssm_branch_matches_independent_oracle(taped):
+    rng = np.random.default_rng(20)
+    branch = SsmBranch(6, state_dim=4, rng=rng, dtype=np.float64)
+    branch.skip_gain.data = rng.standard_normal(6)
+    branch.out_bias.data = rng.standard_normal(6)
+    v = rng.standard_normal((2, 7, 5, 6))
+    with nullcontext() if taped else no_grad():
+        got = branch(t64(v))
+    assert got.requires_grad is taped
+    assert np.abs(got.data - naive_ssm_branch(v, branch)).max() < 1e-12
 
 
 def test_ssm_branch_matches_list_based_path_bitwise():
@@ -562,3 +595,6 @@ def test_all_branches_preserve_shape(spatial):
         assert branch(v).shape == (h, w, c)
         batched = rand64(rng, (2, h, w, c))
         assert branch(batched).shape == (2, h, w, c)
+    # a map without a row or a column axis is refused
+    with pytest.raises(ShapeError):
+        branches[-1](rand64(rng, (w, c)))

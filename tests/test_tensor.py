@@ -399,6 +399,8 @@ FINITE_PRESERVING_CASES = {
     "maximum": lambda x: maximum(x, flip(x, axis=0)),
     "reduce_max": lambda x: reduce_max(reshape(x, (2, 4)), axis=1),
     "softmax": lambda x: softmax(x, axis=0),
+    "gelu": gelu,
+    "softplus": softplus,
 }
 
 

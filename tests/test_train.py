@@ -2,6 +2,7 @@
 
 import gc
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -255,6 +256,21 @@ def test_train_aborts_with_batch_diagnostics(micro_dataset):
     model.stages[0].blocks[0].ssm.a_log.data += 1e4
     with pytest.raises(NumericsError, match="epoch 0 batch 0"):
         train(model, micro_dataset, epochs=1, batch_size=8, lr=1e-3, seed=0)
+
+
+@pytest.mark.parametrize("run", [
+    lambda model, data: train(model, data, epochs=1, batch_size=8, lr=1e-3, seed=0),
+    lambda model, data: evaluate(model, data),
+], ids=["train", "evaluate"])
+def test_overflow_raises_numerics_error_when_warnings_are_errors(run, micro_dataset):
+    # the layer-norm mean after a 3e38 patch bias overflows float32; inside
+    # train() and evaluate() that is a NumericsError, not numpy's RuntimeWarning
+    model = Model(micro_config())
+    model.patch_embed.bias.data[:] = 3e38
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError):
+            run(model, micro_dataset)
 
 
 def test_train_class_count_mismatch(micro_dataset):
