@@ -19,6 +19,7 @@ import numpy as np
 from .errors import DataError
 
 __all__ = [
+    "IMAGE_CHANNELS",
     "Dataset",
     "decode_ppm",
     "write_ppm",
@@ -28,10 +29,13 @@ __all__ = [
     "SHAPE_FAMILIES",
 ]
 
+# P6 pixels are RGB: the one image width the codec, generator and model use
+IMAGE_CHANNELS = 3
+
 
 @dataclass
 class Dataset:
-    images: np.ndarray  # (N, H, W, 3) float32, normalized
+    images: np.ndarray  # (N, H, W, IMAGE_CHANNELS) float32, normalized
     labels: np.ndarray  # (N,) int64
     class_names: list[str]
 
@@ -68,7 +72,7 @@ def _ppm_tokens(raw: bytes, count: int, path: str) -> tuple[list[bytes], int]:
 
 
 def decode_ppm(raw: bytes, path: str = "<bytes>") -> np.ndarray:
-    """Decode binary P6 data to a (H, W, 3) uint8 array."""
+    """Decode binary P6 data to a (H, W, IMAGE_CHANNELS) uint8 array."""
     tokens, end = _ppm_tokens(raw, 4, path)
     if tokens[0] != b"P6":
         raise DataError(f"{path}: not a binary P6 PPM file")
@@ -83,10 +87,10 @@ def decode_ppm(raw: bytes, path: str = "<bytes>") -> np.ndarray:
     if not raw[end : end + 1].isspace():
         raise DataError(f"{path}: PPM max value is not followed by a whitespace byte")
     pixels = raw[end + 1 :]
-    need = width * height * 3
+    need = width * height * IMAGE_CHANNELS
     if len(pixels) < need:
         raise DataError(f"{path}: PPM payload has {len(pixels)} bytes, needs {need}")
-    img = np.frombuffer(pixels[:need], dtype=np.uint8).reshape(height, width, 3)
+    img = np.frombuffer(pixels[:need], dtype=np.uint8).reshape(height, width, IMAGE_CHANNELS)
     if maxval != 255:
         if img.max() > maxval:
             raise DataError(f"{path}: PPM sample {img.max()} exceeds max value {maxval}")
@@ -95,8 +99,8 @@ def decode_ppm(raw: bytes, path: str = "<bytes>") -> np.ndarray:
 
 
 def write_ppm(path: str, img: np.ndarray) -> None:
-    if img.ndim != 3 or img.shape[2] != 3 or img.dtype != np.uint8:
-        raise DataError(f"write_ppm needs (H, W, 3) uint8, got {img.shape} {img.dtype}")
+    if img.ndim != 3 or img.shape[2] != IMAGE_CHANNELS or img.dtype != np.uint8:
+        raise DataError(f"write_ppm needs (H, W, {IMAGE_CHANNELS}) uint8, got {img.shape} {img.dtype}")
     with open(path, "wb") as fh:
         fh.write(b"P6\n%d %d\n255\n" % (img.shape[1], img.shape[0]))
         fh.write(np.ascontiguousarray(img).tobytes())
@@ -233,7 +237,7 @@ def generate_synthetic(
         names.append(name)
         for i in range(per_class):
             rng = np.random.default_rng(np.random.SeedSequence([seed, class_index, i]))
-            background = rng.uniform(0.25, 0.75, size=(size, size, 3))
+            background = rng.uniform(0.25, 0.75, size=(size, size, IMAGE_CHANNELS))
             cy, cx = rng.uniform(0.32, 0.68, size=2) * size
             radius = rng.uniform(0.2, 0.3) * size
             mask = mask_fn(yy, xx, cy, cx, radius)

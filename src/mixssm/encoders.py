@@ -270,6 +270,8 @@ class AttentionBranch(Module):
         self.out_proj = Tensor(trunc_normal(rng, (channels, channels), dtype=dtype), requires_grad=True)
 
     def __call__(self, v: Tensor) -> Tensor:
+        if v.ndim < 3:
+            raise ShapeError(f"AttentionBranch expects (..., H, W, C), got {v.shape}")
         *lead, h, w, c = v.shape
         t = h * w
         x = reshape(v, (*lead, 1, t, c))
@@ -301,6 +303,9 @@ class ChannelMlpBranch(Module):
         self.b2 = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
 
     def __call__(self, v: Tensor) -> Tensor:
+        # refused like the other branches' inputs, though it mixes each position alone
+        if v.ndim < 3:
+            raise ShapeError(f"ChannelMlpBranch expects (..., H, W, C), got {v.shape}")
         h = gelu(add(matmul(v, self.w1), self.b1))
         return add(matmul(h, self.w2), self.b2)
 

@@ -1,9 +1,9 @@
 """Hierarchical classifier: patch embedding, mixing blocks, patch merging,
 classifier head, and the binary checkpoint format.
 
-The stage plan halves the grid and doubles the channels between stages, so a
-default 224x224x3 input flows 56x56xC -> 28x28x2C -> 14x14x4C -> 7x7x8C
-before the head.
+The stage plan halves the grid and doubles the channels and the attention
+heads between stages, so a default 224x224x3 input flows 56x56xC ->
+28x28x2C -> 14x14x4C -> 7x7x8C before the head.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import IMAGE_CHANNELS
 from .encoders import AttentionBranch, ChannelMlpBranch, ConvBranch, SsmBranch
 from .errors import CheckpointError, ConfigError, ShapeError
 from .fusion import AGGREGATION_MODES, KERNEL_SIZES, POOLING_METHODS, SelectiveFusion, selective_module
@@ -37,21 +38,22 @@ __all__ = [
 BRANCH_NAMES = ("ssm", "conv", "mlp", "msa")
 
 CHECKPOINT_MAGIC = b"MIXSSM01"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Complete architectural description of one model, and the one statement
-    of its rules: the modules a model is built from do not check them again."""
+    of its rules: the modules a model is built from do not check them again.
+    ``channels`` and ``heads`` are the first stage's width and head count;
+    stage i uses ``channels * 2**i`` and ``heads * 2**i``."""
 
     input_size: tuple[int, int] = (224, 224)
-    in_channels: int = 3
     patch_size: int = 4
     depths: tuple[int, ...] = (2, 2, 4, 2)
-    channels: tuple[int, ...] = (32, 64, 128, 256)
+    channels: int = 32
     branches: tuple[str, ...] = BRANCH_NAMES
-    heads: tuple[int, ...] = (2, 4, 8, 16)
+    heads: int = 2
     state_dim: int = 8
     kernel_size: int = 3
     pooling: str = "average"
@@ -67,15 +69,13 @@ class ModelConfig:
             raise ConfigError(f"unknown branches {unknown}; expected a subset of {BRANCH_NAMES}")
         object.__setattr__(self, "input_size", tuple(self.input_size))
         object.__setattr__(self, "depths", tuple(self.depths))
-        object.__setattr__(self, "channels", tuple(self.channels))
-        object.__setattr__(self, "heads", tuple(self.heads))
         object.__setattr__(
             self, "branches", tuple(b for b in BRANCH_NAMES if b in set(self.branches))
         )
         self.validate()
 
     def validate(self) -> None:
-        for name in ("input_size", "in_channels", "patch_size", "depths", "channels"):
+        for name in ("input_size", "patch_size", "depths", "channels", "heads", "reduction", "state_dim"):
             value = getattr(self, name)
             if min(value if isinstance(value, tuple) else (value,), default=1) < 1:
                 raise ConfigError(f"{name} must be positive, got {value}")
@@ -85,8 +85,6 @@ class ModelConfig:
         stages = len(self.depths)
         if stages < 1:
             raise ConfigError("need at least one stage")
-        if len(self.channels) != stages or len(self.heads) != stages:
-            raise ConfigError("depths, channels and heads must have equal length")
         if h % self.patch_size or w % self.patch_size:
             raise ConfigError(
                 f"input {h}x{w} is not divisible by patch size {self.patch_size}"
@@ -97,18 +95,12 @@ class ModelConfig:
             raise ConfigError(
                 f"embedded grid {hs}x{ws} is not divisible by 2^(stages-1) = {halvings}"
             )
-        for a, b in zip(self.channels, self.channels[1:]):
-            if b != 2 * a:
-                raise ConfigError(f"stage channels must double each stage, got {self.channels}")
         if not self.branches:
             raise ConfigError("at least one branch must be enabled")
-        for c, heads in zip(self.channels, self.heads):
-            if heads < 1 or c % heads:
-                raise ConfigError(f"heads {heads} must divide stage channels {c}")
-            if self.reduction < 1 or c % self.reduction:
-                raise ConfigError(f"reduction {self.reduction} must divide stage channels {c}")
-        if self.state_dim < 1:
-            raise ConfigError(f"state_dim must be >= 1, got {self.state_dim}")
+        # each stage doubles both, so dividing the first stage's width suffices
+        for name in ("heads", "reduction"):
+            if self.channels % getattr(self, name):
+                raise ConfigError(f"{name} {getattr(self, name)} must divide channels {self.channels}")
         if self.kernel_size not in KERNEL_SIZES:
             raise ConfigError(f"selective kernel size must be one of {KERNEL_SIZES}, got {self.kernel_size}")
         if self.pooling not in POOLING_METHODS:
@@ -151,13 +143,14 @@ def check_field_types(config) -> None:
 
 
 def desk_config(num_classes: int = 4, seed: int = 0) -> ModelConfig:
-    """Laptop-scale configuration used by the smoke runs and sweeps.  Its last stage
+    """Laptop-scale configuration used by the smoke runs and sweeps: 32x32 input,
+    four stages 16, 32, 64 and 128 channels wide.  Its last stage
     scans one token, whose output does not depend on the decay, so that stage's
     ``a_log`` (A = -exp(a_log)) truly gets no gradient and keeps its initial values."""
     return ModelConfig(
         input_size=(32, 32),
         depths=(1, 1, 2, 1),
-        channels=(16, 32, 64, 128),
+        channels=16,
         num_classes=num_classes,
         seed=seed,
     )
@@ -174,7 +167,10 @@ def config_from_dict(data: dict) -> ModelConfig:
 def space_to_depth(x: Tensor, p: int) -> Tensor:
     """Regroup (..., H, W, C) into its non-overlapping p x p patches,
     (..., H/p, W/p, p*p*C), each flattened in (row in patch, column in patch,
-    channel) order.  Raises :class:`ShapeError` unless p divides H and W."""
+    channel) order.  Raises :class:`ShapeError` unless ``x`` has row, column
+    and channel axes and p divides H and W."""
+    if x.ndim < 3:
+        raise ShapeError(f"space_to_depth expects (..., H, W, C), got {x.shape}")
     *lead, h, w, c = x.shape
     grouped = reshape(x, (*lead, h // p, p, w // p, p, c))
     return reshape(transpose(grouped, (0, 2, 1, 3, 4)), (*lead, h // p, w // p, p * p * c))
@@ -291,14 +287,15 @@ class Model(Module):
         rng = np.random.default_rng(np.random.SeedSequence(config.seed))
 
         self.patch_embed = PatchEmbed(
-            config.patch_size, config.in_channels, config.channels[0], rng, self.dtype
+            config.patch_size, IMAGE_CHANNELS, config.channels, rng, self.dtype
         )
         stages = []
         for i, depth in enumerate(config.depths):
+            channels, heads = config.channels * 2**i, config.heads * 2**i
             blocks = [
                 MixSsmBlock(
-                    config.channels[i],
-                    config.heads[i],
+                    channels,
+                    heads,
                     config.branches,
                     config.state_dim,
                     config.kernel_size,
@@ -310,16 +307,13 @@ class Model(Module):
                 )
                 for _ in range(depth)
             ]
-            merge = (
-                PatchMerging(config.channels[i], rng, self.dtype)
-                if i + 1 < len(config.depths)
-                else None
-            )
+            merge = PatchMerging(channels, rng, self.dtype) if i + 1 < len(config.depths) else None
             stages.append(Stage(blocks, merge))
         self.stages = stages
-        self.final_norm = LayerNorm(config.channels[-1], dtype=self.dtype)
+        # channels is now the last stage's width
+        self.final_norm = LayerNorm(channels, dtype=self.dtype)
         self.head_weight = Tensor(
-            trunc_normal(rng, (config.channels[-1], config.num_classes), dtype=self.dtype),
+            trunc_normal(rng, (channels, config.num_classes), dtype=self.dtype),
             requires_grad=True,
         )
         self.head_bias = Tensor(np.zeros(config.num_classes, dtype=self.dtype), requires_grad=True)
@@ -327,7 +321,7 @@ class Model(Module):
     def _check_input(self, images: Tensor) -> Tensor:
         """Check the trailing (H, W, C) and cast to the model's precision;
         the one place an input is cast."""
-        expected = (*self.config.input_size, self.config.in_channels)
+        expected = (*self.config.input_size, IMAGE_CHANNELS)
         if images.shape[-3:] != expected:
             raise ShapeError(
                 f"input image shape {images.shape[-3:]} does not match configured {expected}"

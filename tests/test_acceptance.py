@@ -31,7 +31,7 @@ def report(number: int, description: str, ok: bool) -> None:
 
 
 MICRO = dict(
-    input_size=(16, 16), depths=(1, 1), channels=(8, 16), heads=(1, 2),
+    input_size=(16, 16), depths=(1, 1), channels=8, heads=1,
     state_dim=4, num_classes=4, seed=0,
 )
 

@@ -25,9 +25,9 @@ MICRO_CONFIG = {
     "input_size": [16, 16],
     "patch_size": 4,
     "depths": [1, 1],
-    "channels": [8, 16],
+    "channels": 8,
     "branches": ["ssm", "conv", "mlp", "msa"],
-    "heads": [1, 2],
+    "heads": 1,
     "state_dim": 4,
     "kernel_size": 3,
     "pooling": "average",
@@ -547,8 +547,10 @@ BAD_CONFIGS = [
     {"batch_size": 2.5},
     {"input_size": [32.0, 32]},
     {"epochs": True},
-    {"in_channels": 0},
+    {"in_channels": 0},  # removed field: refused as an unknown key
     {"branches": "ssm"},
+    {"channels": [8, 16]},
+    {"heads": 0},
 ]
 
 

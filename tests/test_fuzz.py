@@ -23,9 +23,9 @@ RUN_CONFIG = {
     "input_size": [16, 16],
     "patch_size": 4,
     "depths": [1, 1],
-    "channels": [8, 16],
+    "channels": 8,
     "branches": ["ssm", "conv", "mlp", "msa"],
-    "heads": [1, 2],
+    "heads": 1,
     "state_dim": 4,
     "kernel_size": 3,
     "pooling": "average",

@@ -19,6 +19,7 @@ from mixssm.network import (
     desk_config,
     load_checkpoint,
     save_checkpoint,
+    space_to_depth,
 )
 from mixssm.tensor import Tensor, mul, no_grad, reduce_sum
 
@@ -31,8 +32,8 @@ def micro_config(**overrides):
     base = dict(
         input_size=(16, 16),
         depths=(1, 1),
-        channels=(8, 16),
-        heads=(1, 2),
+        channels=8,
+        heads=1,
         num_classes=4,
         seed=0,
     )
@@ -193,6 +194,19 @@ def test_patch_merging_rejects_odd_dims():
         merge(t64(np.zeros((3, 4, 4))))
 
 
+def test_patch_regroups_refuse_a_map_without_row_and_column_axes():
+    rng = np.random.default_rng(12)
+    flat = t64(np.zeros((3, 4)))
+    regroups = (
+        lambda x: space_to_depth(x, 2),
+        PatchMerging(4, rng, np.float64),
+        PatchEmbed(2, 4, 8, rng, np.float64),
+    )
+    for regroup in regroups:
+        with pytest.raises(ShapeError, match="H, W, C"):
+            regroup(flat)
+
+
 # -- classifier ------------------------------------------------------------------------
 
 
@@ -273,15 +287,23 @@ def test_disabling_any_branch_strictly_decreases_parameters():
 # -- config validation -------------------------------------------------------------------
 
 
+def test_stage_i_doubles_the_first_stage_width_and_heads_i_times():
+    model = Model(micro_config())
+    first, second = (stage.blocks[0] for stage in model.stages)
+    assert (first.norm.gamma.shape, first.msa.heads) == ((8,), 1)
+    assert (second.norm.gamma.shape, second.msa.heads) == ((16,), 2)
+    assert model.stages[0].merge.reduction.shape == (32, 16)
+    assert model.final_norm.gamma.shape == (16,)
+    assert model.head_weight.shape == (16, 4)
+
+
 def test_config_rejects_bad_geometry():
     with pytest.raises(ConfigError):
         micro_config(input_size=(15, 16))
     with pytest.raises(ConfigError):
-        micro_config(channels=(8, 24))
-    with pytest.raises(ConfigError):
         micro_config(branches=())
     with pytest.raises(ConfigError):
-        micro_config(heads=(3, 2))
+        micro_config(heads=3)
     with pytest.raises(ConfigError):
         micro_config(kernel_size=4)
     with pytest.raises(ConfigError):
@@ -367,8 +389,9 @@ def test_checkpoint_unsupported_version_detected(tmp_path):
     blob = open(path, "rb").read()
     header_len = int.from_bytes(blob[8:16], "little")
     header = json.loads(blob[16 : 16 + header_len].decode())
-    # version 1 stored the SSM rates as A itself; its files are refused, not misread
-    for version in (1, 999):
+    # version 1 stored the SSM rates as A itself, version 2 per-stage channel
+    # and head lists and an input-channel count; their files are refused, not misread
+    for version in (1, 2, 999):
         header["version"] = version
         new_header = json.dumps(header, sort_keys=True).encode()
         open(path, "wb").write(

@@ -24,7 +24,7 @@ from oracles import brute_force_metrics
 
 def micro_config(**overrides):
     base = dict(
-        input_size=(16, 16), depths=(1, 1), channels=(8, 16), heads=(1, 2),
+        input_size=(16, 16), depths=(1, 1), channels=8, heads=1,
         num_classes=4, seed=0,
     )
     base.update(overrides)
