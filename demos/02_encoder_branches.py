@@ -32,15 +32,21 @@ for name, branch in branches.items():
     out = branch(v)
     print(f"{name:30s} {v.shape} -> {out.shape}")
 
-# The SSM branch sees the 2-d grid as four 1-d traversals, stacked on one
-# axis: row-major, its reverse, column-major, its reverse.  Re-ordering them
-# back and summing reproduces the map exactly four times over.
+# The SSM branch sees the 2-d grid as four 1-d traversals, stacked
+# time-major (step t of all four directions side by side): row-major, its
+# reverse, column-major, its reverse.  Re-ordering them back and summing
+# reproduces the map exactly four times over.
 tiny = Tensor(np.arange(6.0, dtype=np.float32).reshape(2, 3, 1))
 seqs = cross_scan(tiny)
-print("stacked traversals (directions, T, C):", seqs.shape)
-print("row-major order:   ", seqs.data[0, :, 0].tolist())
-print("reverse row-major: ", seqs.data[1, :, 0].tolist())
-print("column-major order:", seqs.data[2, :, 0].tolist())
+print("stacked traversals (T, directions, C):", seqs.shape)
+orders = {
+    "row-major order [0, 1, 2, 3, 4, 5]": [0, 1, 2, 3, 4, 5],
+    "reverse row-major order [5, 4, 3, 2, 1, 0]": [5, 4, 3, 2, 1, 0],
+    "column-major order [0, 3, 1, 4, 2, 5]": [0, 3, 1, 4, 2, 5],
+    "reverse column-major order [5, 2, 4, 1, 3, 0]": [5, 2, 4, 1, 3, 0],
+}
+for d, (claim, order) in enumerate(orders.items()):
+    print(f"{claim}: {seqs.data[:, d, 0].tolist() == order}")
 merged = cross_merge(seqs, 2, 3)
 print("merge(scan(V)) == 4V:", np.array_equal(merged.data, 4 * tiny.data))
 

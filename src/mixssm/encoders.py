@@ -4,15 +4,18 @@ Each branch maps a feature map (..., H, W, C) to a same-shape map:
 
 * :class:`ConvBranch` -- one SAME 3x3 convolution plus GELU.
 * :class:`AttentionBranch` -- full multi-head self-attention over the
-  flattened token sequence, in blocks of 256 query rows.
+  flattened token sequence, in blocks of 64 query rows; without a tape the
+  blocks run on raw arrays and divide the output, not the probabilities, by
+  the row sums.
 * :class:`ChannelMlpBranch` -- per-position two-layer channel MLP.
 * :class:`SsmBranch` -- an input-conditioned diagonal state-space scan of
-  the map's four directional traversals, stacked on one axis and scanned at
-  once; the per-token terms (step, input and output vectors, decay and
-  drive) are computed once on the grid and then reordered.  Inverse
-  reordering and summation of the readouts, the skip term added once on the
-  grid and a pointwise output mix follow.  The scan is the plain recurrence
-  when no tape is recorded and a taped odd-even scan when one is.
+  the map's four directional traversals, stacked time-major as
+  (..., H*W, 4, C) and scanned at once; the per-token terms (step, input
+  and output vectors, decay and drive) are computed once on the grid and
+  then reordered.  Inverse reordering and summation of the readouts, the
+  skip term added once on the grid and a pointwise output mix follow.  The
+  scan is the plain recurrence when no tape is recorded and a taped
+  odd-even scan when one is.
 
 Leading axes beyond (H, W, C) are treated as batch dimensions everywhere.
 """
@@ -23,7 +26,7 @@ import math
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import NumericsError, ShapeError
 from .modules import Module, trunc_normal
 from .tensor import (
     Tensor,
@@ -62,7 +65,8 @@ _ACTIVATIONS = {"gelu": gelu}
 
 
 def cross_scan(v: Tensor) -> Tensor:
-    """Unroll a (..., H, W, C) map into four 1-d traversals, stacked (..., 4, H*W, C).
+    """Unroll a (..., H, W, C) map into four 1-d traversals, stacked
+    time-major as (..., H*W, 4, C): step t of all four is one contiguous block.
 
     Directions along the stacking axis: row-major; its reverse; column-major;
     its reverse.
@@ -70,23 +74,23 @@ def cross_scan(v: Tensor) -> Tensor:
     if v.ndim < 3:
         raise ShapeError(f"cross_scan expects (..., H, W, C), got {v.shape}")
     *lead, h, w, c = v.shape
-    seq_shape = (*lead, 1, h * w, c)
+    seq_shape = (*lead, h * w, 1, c)
     rows = reshape(v, seq_shape)
     cols = reshape(transpose(v, (1, 0, 2)), seq_shape)
-    return concat([rows, flip(rows, axis=-2), cols, flip(cols, axis=-2)], axis=-3)
+    return concat([rows, flip(rows, axis=-3), cols, flip(cols, axis=-3)], axis=-2)
 
 
 def cross_merge(seqs: Tensor, h: int, w: int) -> Tensor:
-    """Reorder the (..., 4, H*W, C) traversals of :func:`cross_scan` back onto
+    """Reorder the (..., H*W, 4, C) traversals of :func:`cross_scan` back onto
     the (..., H, W, C) grid and sum them."""
-    if seqs.ndim < 3 or seqs.shape[-3:-1] != (4, h * w):
-        raise ShapeError(f"cross_merge expects (..., 4, {h}*{w}, C), got {seqs.shape}")
-    *lead, _, t, c = seqs.shape
+    if seqs.ndim < 3 or seqs.shape[-3:-1] != (h * w, 4):
+        raise ShapeError(f"cross_merge expects (..., {h}*{w}, 4, C), got {seqs.shape}")
+    *lead, t, _, c = seqs.shape
     # (row-major | column-major) x (forward | reversed)
-    pairs = reshape(seqs, (*lead, 2, 2, t, c))
-    both = add(slice_(pairs, -3, 0, 1), flip(slice_(pairs, -3, 1, 2), axis=-2))
-    rows = reshape(slice_(both, -4, 0, 1), (*lead, h, w, c))
-    cols = reshape(slice_(both, -4, 1, 2), (*lead, w, h, c))
+    pairs = reshape(seqs, (*lead, t, 2, 2, c))
+    both = add(slice_(pairs, -2, 0, 1), flip(slice_(pairs, -2, 1, 2), axis=-4))
+    rows = reshape(slice_(both, -3, 0, 1), (*lead, h, w, c))
+    cols = reshape(slice_(both, -3, 1, 2), (*lead, w, h, c))
     return add(rows, transpose(cols, (1, 0, 2)))
 
 
@@ -97,9 +101,10 @@ def linear_scan(decay: Tensor, x: Tensor) -> Tensor:
     """Inclusive scan of h_t = decay_t * h_{t-1} + x_t with h_0 = 0.
 
     Operands are (..., T, C, N) of one precision; time is the third axis from
-    the end.  The result is a fresh array, except that a recording call with
-    T <= 1 returns ``x`` itself (h = x there, and nothing writes into op
-    outputs).
+    the end.  :func:`selective_scan` passes its four traversals time-major,
+    as (..., T, 4*C, N), so one step of one map is one contiguous block.  The
+    result is a fresh array, except that a recording call with T <= 1
+    returns ``x`` itself (h = x there, and nothing writes into op outputs).
 
     A call that records no tape node (:func:`~mixssm.tensor.records`: under
     ``no_grad``, or when no operand requires grad) runs the recurrence as it
@@ -176,8 +181,8 @@ def _odd_even_scan(a: Tensor, b: Tensor, axis: int) -> Tensor:
 
 def selective_scan(v: Tensor, params: "SsmBranch") -> Tensor:
     """Input-conditioned diagonal SSM over the four :func:`cross_scan`
-    traversals of a (..., H, W, C) map; the result is the readouts
-    (..., 4, H*W, C), without the skip term.
+    traversals of a (..., H, W, C) map; the result is the readouts, stacked
+    time-major like the traversals as (..., H*W, 4, C), without the skip term.
 
     Along each traversal u_1..u_T (T = H*W), per channel c with state h in
     R^N and h_0 = 0:
@@ -195,7 +200,9 @@ def selective_scan(v: Tensor, params: "SsmBranch") -> Tensor:
     dt, B, C, the decay and the drive depend on the token alone, not on the
     traversal, so they are computed once on the grid and only then
     reordered by :func:`cross_scan` (the trailing (C, N) viewed as C*N).
-    The scan and the readout run per direction.  The drive (dt_t * u_t) B_t^T
+    The four directions are scanned as one time-major (..., T, 4*C, N)
+    operand pair, so each recurrence step reads one contiguous block; the
+    readout is (..., T, 4, C, N) @ (..., T, 4, N, 1).  The drive (dt_t * u_t) B_t^T
     and the readout h_t C_t are batched matmuls, not a broadcast multiply and
     a sum over the short trailing N axis: numpy runs such a sum and its
     broadcast backward with an N-element inner loop, while matmul and its two
@@ -214,12 +221,12 @@ def selective_scan(v: Tensor, params: "SsmBranch") -> Tensor:
     drive = matmul(reshape(mul(dt, v), (*lead, h, w, c, 1)), reshape(b_tok, (*lead, h, w, 1, n)))
 
     def traversals(grid: Tensor) -> Tensor:
-        """(..., H, W, C, N) -> (..., 4, T, C, N)."""
-        return reshape(cross_scan(reshape(grid, (*lead, h, w, c * n))), (*lead, 4, t, c, n))
+        """(..., H, W, C, N) -> (..., T, 4*C, N): one scan step is one block."""
+        return reshape(cross_scan(reshape(grid, (*lead, h, w, c * n))), (*lead, t, 4 * c, n))
 
-    states = linear_scan(traversals(decay), traversals(drive))
-    read = matmul(states, reshape(c_seq, (*lead, 4, t, n, 1)))
-    return reshape(read, (*lead, 4, t, c))
+    states = reshape(linear_scan(traversals(decay), traversals(drive)), (*lead, t, 4, c, n))
+    read = matmul(states, reshape(c_seq, (*lead, t, 4, n, 1)))
+    return reshape(read, (*lead, t, 4, c))
 
 
 # -- branches ----------------------------------------------------------------
@@ -238,19 +245,53 @@ class ConvBranch(Module):
         return gelu(add(conv2d(v, self.weight), self.bias))
 
 
-# query rows per attention block: smaller blocks add op calls, larger ones
-# approach the full (heads, T, T) score array
-_QUERY_BLOCK = 256
+# query rows per attention block, on both paths: a (2, 64, 3136) float32
+# block of stage-1 scores (1.6 MB) stays in a 2 MB L2; smaller blocks add
+# op calls and loop steps
+_QUERY_BLOCK = 64
+
+
+def _attention(q: np.ndarray, k: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """softmax(q k^T) vals over the last two axes, ``_QUERY_BLOCK`` query rows
+    at a time, into a fresh array.
+
+    Each block's scores go into one buffer reused across blocks; a
+    non-finite score raises :class:`NumericsError` (a -inf one would
+    otherwise turn into probability 0).  The row max is subtracted and exp
+    taken in place, and the unnormalized product with ``vals`` is written
+    into the output rows, which are then divided by the row sums.
+    """
+    t = q.shape[-2]
+    out = np.empty(q.shape[:-1] + vals.shape[-1:], dtype=q.dtype)
+    keys = k.swapaxes(-1, -2)
+    buffer = np.empty(q.shape[:-2] + (min(t, _QUERY_BLOCK), t), dtype=q.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(0, t, _QUERY_BLOCK):
+            rows = q[..., s : s + _QUERY_BLOCK, :]
+            scores = buffer[..., : rows.shape[-2], :]
+            np.matmul(rows, keys, out=scores)
+            if not np.isfinite(scores).all():
+                raise NumericsError("attention produced non-finite scores (overflow)")
+            scores -= scores.max(axis=-1, keepdims=True)
+            np.exp(scores, out=scores)
+            mixed = out[..., s : s + _QUERY_BLOCK, :]
+            np.matmul(scores, vals, out=mixed)
+            mixed /= scores.sum(axis=-1, keepdims=True)
+    return out
 
 
 class AttentionBranch(Module):
     """Full (non-windowed) multi-head self-attention over the token grid.
 
-    softmax(q k^T) v is computed for blocks of ``_QUERY_BLOCK`` query rows and
-    the rows are joined, so no (heads, T, T) score array exists at once: under
-    ``no_grad`` each block's scores are freed before the next block's are
-    made (Rabe & Staats 2021, arXiv 2112.05682).  A recorded graph still
-    keeps every block's probabilities for backward.
+    softmax(q k^T) v is computed for blocks of ``_QUERY_BLOCK`` (64) query
+    rows, so no (heads, T, T) score array exists at once (Rabe & Staats
+    2021, arXiv 2112.05682).  When the call records no tape node
+    (:func:`~mixssm.tensor.records`), the blocks run on raw arrays in one
+    reused score buffer and are normalized after the product with v: the
+    (heads, rows, d) output is divided by the row sums, not the (heads,
+    rows, T) probabilities (:func:`_attention`).  A recording call composes
+    taped slice, matmul, softmax and concat ops, and its graph keeps every
+    block's probabilities for backward.
     """
 
     def __init__(
@@ -280,14 +321,17 @@ class AttentionBranch(Module):
         q = mul(matmul(x, self.q_proj), scale)
         k = matmul(x, self.k_proj)
         vals = matmul(x, self.v_proj)
-        keys = transpose(k, (1, 0))
-        mixed = concat(
-            [
-                matmul(softmax(matmul(slice_(q, -2, s, s + _QUERY_BLOCK), keys), axis=-1), vals)
-                for s in range(0, t, _QUERY_BLOCK)
-            ],
-            axis=-2,
-        )
+        if records(q, k, vals):
+            keys = transpose(k, (1, 0))
+            mixed = concat(
+                [
+                    matmul(softmax(matmul(slice_(q, -2, s, s + _QUERY_BLOCK), keys), axis=-1), vals)
+                    for s in range(0, t, _QUERY_BLOCK)
+                ],
+                axis=-2,
+            )
+        else:
+            mixed = Tensor(_attention(q.data, k.data, vals.data))
         merged = reshape(transpose(mixed, (1, 0, 2)), (*lead, t, self.heads * self.head_dim))
         return reshape(matmul(merged, self.out_proj), (*lead, h, w, c))
 

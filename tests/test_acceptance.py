@@ -81,7 +81,7 @@ def test_criterion_2_oracle_equivalence():
         for mode in (nullcontext, no_grad):
             with mode():
                 got = selective_scan(Tensor(u.reshape(1, t_len, c).astype(np.float32)), params).data
-            scan_worst = max(scan_worst, float(np.abs(got[0] - want).max()))
+            scan_worst = max(scan_worst, float(np.abs(got[..., 0, :] - want).max()))
     scan_ok = scan_worst < 1e-5
 
     # the conv branch's convolution plus bias, before its GELU

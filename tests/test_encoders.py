@@ -33,6 +33,7 @@ from mixssm.tensor import (
     reduce_sum,
     reshape,
     slice_,
+    softmax,
     softplus,
     transpose,
 )
@@ -153,33 +154,40 @@ def test_attention_two_tokens_matches_oracle():
     [
         pytest.param((3, 4, 8), "oracle", id="shape0"),
         pytest.param((2, 3, 2, 8), "oracle", id="shape1"),
-        # around the 256-row query block: one short block, one full block, a
+        # around the 64-row query block: one short block, one full block, a
         # full and a short block, and three blocks per map of a batch of two
-        pytest.param((15, 17, 8), "oracle", id="T255"),
-        pytest.param((16, 16, 8), "oracle", id="T256"),
-        pytest.param((17, 17, 8), "oracle", id="T289"),
-        pytest.param((2, 23, 23, 8), "oracle", id="batch-T529"),
+        pytest.param((7, 9, 8), "oracle", id="T63"),
+        pytest.param((8, 8, 8), "oracle", id="T64"),
+        pytest.param((5, 13, 8), "oracle", id="T65"),
+        pytest.param((2, 12, 12, 8), "oracle", id="batch-T144"),
         pytest.param((17, 17, 4), "finite_diff", id="T289-finite_diff"),
         pytest.param((17, 17, 8), "permutation", id="T289-permutation"),
     ],
 )
 def test_attention_matches_naive_oracle(shape, check):
-    rng = np.random.default_rng(6)
-    branch = AttentionBranch(shape[-1], heads=2, rng=rng, dtype=np.float64)
-    v = rng.standard_normal(shape)
-    if check == "oracle":
-        assert np.abs(branch(t64(v)).data - attention_oracle(branch, v)).max() < 1e-12
-    elif check == "finite_diff":
-        proj = t64(rng.standard_normal(shape))
-        err = finite_diff_check(lambda x: reduce_sum(mul(branch(x), proj)), t64(v))
-        assert err < 1e-4, err
-    else:
-        # tokens from different query blocks trade places; the outputs follow them
-        tokens = v.reshape(-1, shape[-1])
-        perm = rng.permutation(len(tokens))
-        out = branch(t64(v)).data.reshape(tokens.shape)
-        out_perm = branch(t64(tokens[perm].reshape(shape))).data.reshape(tokens.shape)
-        assert np.abs(out[perm] - out_perm).max() < 1e-12
+    # once with a tape (taped slice, matmul, softmax and concat ops) and once
+    # under no_grad (raw-array blocks normalized after the product with v)
+    for taped in (True, False):
+        rng = np.random.default_rng(6)
+        branch = AttentionBranch(shape[-1], heads=2, rng=rng, dtype=np.float64)
+        v = rng.standard_normal(shape)
+        with nullcontext() if taped else no_grad():
+            if check == "oracle":
+                out = branch(t64(v))
+                assert out.requires_grad is taped
+                assert np.abs(out.data - attention_oracle(branch, v)).max() < 1e-12
+            elif check == "finite_diff" and taped:
+                # the analytic side runs the taped path, the central differences the tape-free one
+                proj = t64(rng.standard_normal(shape))
+                err = finite_diff_check(lambda x: reduce_sum(mul(branch(x), proj)), t64(v))
+                assert err < 1e-4, err
+            elif check == "permutation":
+                # tokens from different query blocks trade places; the outputs follow them
+                tokens = v.reshape(-1, shape[-1])
+                perm = rng.permutation(len(tokens))
+                out = branch(t64(v)).data.reshape(tokens.shape)
+                out_perm = branch(t64(tokens[perm].reshape(shape))).data.reshape(tokens.shape)
+                assert np.abs(out[perm] - out_perm).max() < 1e-12
 
 
 def scores_then_scale_attention(branch, v):
@@ -202,6 +210,53 @@ def test_attention_at_head_dim_16_is_bitwise_scores_then_scale():
     for shape in ((6, 6, 32), (2, 4, 5, 32)):
         v = rng.standard_normal(shape).astype(np.float32)
         assert np.array_equal(branch(Tensor(v)).data, scores_then_scale_attention(branch, v))
+
+
+def test_attention_at_head_dim_16_without_tape_is_within_1e6_of_scores_then_scale():
+    # normalizing the (heads, rows, d) output instead of the probabilities
+    # reorders float32 roundoff, so the tape-free path is close, not bitwise
+    rng = np.random.default_rng(7)
+    branch = AttentionBranch(32, heads=2, rng=rng)
+    for shape in ((6, 6, 32), (2, 4, 5, 32), (9, 15, 32)):
+        v = rng.standard_normal(shape).astype(np.float32)
+        want = scores_then_scale_attention(branch, v)
+        with no_grad():
+            got = branch(Tensor(v)).data
+        assert np.abs(got - want).max() <= 1e-6 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus_inf", "minus_inf_finite_row_max"])
+def test_attention_raises_numerics_error_on_a_non_finite_score(sign):
+    # two float32 tokens x0 = (1e20, 0), x1 = (0, 1); q = x / sqrt(2) and
+    # k = x @ [[0, 0], [sign 1e20, 1]], so k0 = 0 and k1 = (sign 1e20, 1):
+    # score (0, 1) = sign 7e39 overflows and the other three are finite.
+    # With sign -1, row 0 has a finite max (0), and the max shift alone would
+    # quietly give the -inf score probability 0.
+    branch = AttentionBranch(2, heads=1, rng=np.random.default_rng(21))
+    branch.q_proj.data = np.eye(2, dtype=np.float32)[None]
+    branch.k_proj.data = np.array([[[0.0, 0.0], [sign * 1e20, 1.0]]], dtype=np.float32)
+    v = Tensor(np.array([[[1e20, 0.0], [0.0, 1.0]]], dtype=np.float32))
+    for mode in (nullcontext, no_grad):
+        with mode(), np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
+            branch(v)
+
+
+def test_attention_runs_the_taped_softmax_only_when_it_records(monkeypatch):
+    calls = []
+
+    def counting(x, axis=-1):
+        calls.append(x.shape)
+        return softmax(x, axis=axis)
+
+    monkeypatch.setattr(encoders, "softmax", counting)
+    rng = np.random.default_rng(22)
+    branch = AttentionBranch(8, heads=2, rng=rng)
+    v = Tensor(rng.standard_normal((9, 9, 8)).astype(np.float32))
+    with no_grad():
+        branch(v)
+    assert calls == []
+    branch(v)  # the projections require grad: one taped softmax per 64-row block
+    assert calls == [(2, 64, 81), (2, 17, 81)]
 
 
 def test_attention_at_head_dim_8_matches_naive_oracle():
@@ -253,7 +308,9 @@ def test_mlp_matches_two_matmul_oracle():
 def test_cross_scan_traversal_orders():
     a, b, c, d = [float(v) for v in (1, 2, 3, 4)]
     v = t64(np.array([[[a], [b]], [[c], [d]]]))
-    d1, d2, d3, d4 = cross_scan(v).data[:, :, 0].tolist()
+    seqs = cross_scan(v).data
+    assert seqs.shape == (4, 4, 1)  # time-major: (T, directions, C)
+    d1, d2, d3, d4 = (seqs[:, d, 0].tolist() for d in range(4))
     assert d1 == [a, b, c, d]
     assert d2 == [d, c, b, a]
     assert d3 == [a, c, b, d]
@@ -262,8 +319,10 @@ def test_cross_scan_traversal_orders():
 
 def test_cross_scan_single_position():
     v = t64(np.arange(3.0).reshape(1, 1, 3))
-    for s in cross_scan(v).data:
-        assert np.array_equal(s, v.data.reshape(1, 3))
+    seqs = cross_scan(v).data
+    assert seqs.shape == (1, 4, 3)
+    for d in range(4):
+        assert np.array_equal(seqs[:, d], v.data.reshape(1, 3))
 
 
 def test_cross_merge_of_cross_scan_is_exactly_four_v():
@@ -274,13 +333,15 @@ def test_cross_merge_of_cross_scan_is_exactly_four_v():
 
 
 def test_cross_merge_rejects_wrong_shapes():
+    # each refused shape differs from the accepted (T, 4, C) = (6, 4, 2) in one axis
     rng = np.random.default_rng(19)
+    assert cross_merge(rand64(rng, (6, 4, 2)), 2, 3).shape == (2, 3, 2)
     with pytest.raises(ShapeError):
-        cross_merge(rand64(rng, (3, 6, 2)), 2, 3)  # three directions
+        cross_merge(rand64(rng, (6, 3, 2)), 2, 3)  # three directions
     with pytest.raises(ShapeError):
-        cross_merge(rand64(rng, (4, 5, 2)), 2, 3)  # 5 tokens on a 2x3 grid
+        cross_merge(rand64(rng, (5, 4, 2)), 2, 3)  # 5 tokens on a 2x3 grid
     with pytest.raises(ShapeError):
-        cross_merge(rand64(rng, (4, 6)), 2, 3)  # no channel axis
+        cross_merge(rand64(rng, (6, 4)), 2, 3)  # no channel axis
 
 
 # -- scans --------------------------------------------------------------------------
@@ -411,10 +472,12 @@ def test_selective_scan_matches_sequential_oracle():
         with mode():
             # the row-major traversal of a 1 x T map is the sequence itself
             got = selective_scan(t64(u.reshape(1, 16, 8)), params).data
-            assert np.abs(got[0] - naive_selective_scan(u, params)).max() < 1e-5
-            # a batch of odd-sided maps, all four traversals (T = 49)
+            assert np.abs(got[..., 0, :] - naive_selective_scan(u, params)).max() < 1e-5
+            # a batch of odd-sided maps, all four traversals (T = 49); the
+            # oracle takes them direction-major, (..., 4, T, C)
             got = selective_scan(t64(v), params).data
-            want = naive_selective_scan(cross_scan(t64(v)).data, params)
+            seqs = np.moveaxis(cross_scan(t64(v)).data, -2, -3)
+            want = np.moveaxis(naive_selective_scan(seqs, params), -3, -2)
             assert np.abs(got - want).max() < 1e-12
 
 
@@ -462,7 +525,7 @@ def test_ssm_branch_single_position_is_four_times_token_scan():
     rng = np.random.default_rng(14)
     branch = SsmBranch(6, state_dim=4, rng=rng, dtype=np.float64)
     v = rand64(rng, (1, 1, 6))
-    directions = selective_scan(v, branch).data
+    (directions,) = selective_scan(v, branch).data  # the one step's (4, C) readouts
     y = directions[0]
     assert all(np.array_equal(d, y) for d in directions)
     skip = branch.skip_gain.data * v.data.reshape(1, 6)
@@ -571,7 +634,7 @@ def test_ssm_decays_stay_in_unit_interval_for_extreme_rates(a_log, monkeypatch):
     with no_grad():
         out = branch(Tensor(rng.standard_normal((56, 56, 8)).astype(np.float32))).data
     (decay,) = decays
-    assert decay.shape == (4, 56 * 56, 8, 4)
+    assert decay.shape == (56 * 56, 4 * 8, 4)  # time-major (T, 4 * C, N)
     assert decay.min() >= 0.0 and decay.max() <= 1.0
     assert np.isfinite(out).all()
 
