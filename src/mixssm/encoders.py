@@ -133,7 +133,8 @@ def _recurrence(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     out = np.empty(b.shape, dtype=b.dtype)
     # time-major views: iterating one walks its steps
-    a_t, b_t, h = (np.moveaxis(arr, -3, 0) for arr in (a, b, out))
+    time_major = (b.ndim - 3, *range(b.ndim - 3), b.ndim - 2, b.ndim - 1)
+    a_t, b_t, h = (arr.transpose(time_major) for arr in (a, b, out))
     if len(h):
         h[0] = b_t[0]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -216,7 +217,7 @@ def selective_scan(v: Tensor, params: "SsmBranch") -> Tensor:
     dt = softplus(add(matmul(v, params.dt_weight), params.dt_bias))
     b_tok = matmul(v, params.b_weight)
 
-    rates = mul(exp(params.a_log), Tensor(np.asarray(-1.0, dtype=v.dtype)))
+    rates = mul(exp(params.a_log), params.minus_one)
     decay = exp(mul(reshape(dt, (*lead, h, w, c, 1)), rates))
     drive = matmul(reshape(mul(dt, v), (*lead, h, w, c, 1)), reshape(b_tok, (*lead, h, w, 1, n)))
 
@@ -309,6 +310,7 @@ class AttentionBranch(Module):
         self.k_proj = Tensor(trunc_normal(rng, (heads, channels, head_dim), dtype=dtype), requires_grad=True)
         self.v_proj = Tensor(trunc_normal(rng, (heads, channels, head_dim), dtype=dtype), requires_grad=True)
         self.out_proj = Tensor(trunc_normal(rng, (channels, channels), dtype=dtype), requires_grad=True)
+        self.scale = Tensor(np.asarray(1.0 / math.sqrt(head_dim), dtype=dtype))
 
     def __call__(self, v: Tensor) -> Tensor:
         if v.ndim < 3:
@@ -317,8 +319,7 @@ class AttentionBranch(Module):
         t = h * w
         x = reshape(v, (*lead, 1, t, c))
         # scaling q, not the (heads, T, T) scores, saves a pass over the largest array
-        scale = Tensor(np.asarray(1.0 / math.sqrt(self.head_dim), dtype=v.dtype))
-        q = mul(matmul(x, self.q_proj), scale)
+        q = mul(matmul(x, self.q_proj), self.scale)
         k = matmul(x, self.k_proj)
         vals = matmul(x, self.v_proj)
         if records(q, k, vals):
@@ -386,9 +387,10 @@ class SsmBranch(Module):
         self.c_weight = Tensor(trunc_normal(rng, (channels, state_dim), dtype=dtype), requires_grad=True)
         self.out_weight = Tensor(trunc_normal(rng, (channels, channels), dtype=dtype), requires_grad=True)
         self.out_bias = Tensor(np.zeros(channels, dtype=dtype), requires_grad=True)
+        # scalar constants, built once; needing no grad, they are not parameters
+        self.minus_one, self.four = (Tensor(np.asarray(s, dtype=dtype)) for s in (-1.0, 4.0))
 
     def __call__(self, v: Tensor) -> Tensor:
         read = selective_scan(v, self)  # first, as it refuses anything but a (..., H, W, C) map
-        four = Tensor(np.asarray(4.0, dtype=v.dtype))
-        merged = add(cross_merge(read, *v.shape[-3:-1]), mul(v, mul(self.skip_gain, four)))
+        merged = add(cross_merge(read, *v.shape[-3:-1]), mul(v, mul(self.skip_gain, self.four)))
         return add(matmul(merged, self.out_weight), self.out_bias)

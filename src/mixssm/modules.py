@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from typing import Iterator
 
 import numpy as np
@@ -10,9 +11,15 @@ from .tensor import Tensor, layer_norm
 
 __all__ = ["Module", "LayerNorm", "trunc_normal"]
 
+# set while ``network.load_checkpoint`` builds a model whose every parameter it overwrites
+_UNDRAWN = ContextVar("undrawn", default=False)
+
 
 def trunc_normal(rng: np.random.Generator, shape, dtype=np.float32) -> np.ndarray:
-    """Normal(0, 0.02) truncated to two standard deviations, by resampling."""
+    """Normal(0, 0.02) truncated to two standard deviations, by resampling;
+    zeros, with nothing drawn, while :data:`_UNDRAWN` is set."""
+    if _UNDRAWN.get():
+        return np.zeros(shape, dtype=dtype)
     std = 0.02
     out = rng.normal(0.0, std, size=shape)
     bad = np.abs(out) > 2.0 * std

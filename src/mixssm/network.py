@@ -18,7 +18,7 @@ from .data import IMAGE_CHANNELS
 from .encoders import AttentionBranch, ChannelMlpBranch, ConvBranch, SsmBranch
 from .errors import CheckpointError, ConfigError, ShapeError
 from .fusion import AGGREGATION_MODES, KERNEL_SIZES, POOLING_METHODS, SelectiveFusion, selective_module
-from .modules import LayerNorm, Module, trunc_normal
+from .modules import _UNDRAWN, LayerNorm, Module, trunc_normal
 from .tensor import Tensor, add, matmul, reduce_mean, reshape, softmax, transpose
 
 __all__ = [
@@ -410,7 +410,11 @@ def load_checkpoint(path: str) -> Model:
     except (KeyError, TypeError, ConfigError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc}") from exc
 
-    model = Model(config)
+    undrawn = _UNDRAWN.set(True)  # the payload below replaces every initial weight
+    try:
+        model = Model(config)
+    finally:
+        _UNDRAWN.reset(undrawn)
     directory = _directory(model)
     # compared as JSON text, so true or 1.0 never passes for an integer
     if json.dumps(entries, sort_keys=True) != json.dumps(directory, sort_keys=True):

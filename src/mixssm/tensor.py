@@ -4,8 +4,8 @@ Values live in numpy arrays, in one of two precisions chosen at
 construction time: float32 for training and inference, float64 for gradient
 checking.  Overflow or a domain error surfaces as :class:`NumericsError`
 instead of propagating NaN/Inf: every op whose finite inputs can give a
-non-finite result checks its result.  Ten ops cannot, so they skip that
-pass: every output element of reshape, transpose, slice, concat, flip,
+non-finite result checks its result in one pass.  Ten ops cannot, so they skip
+it: every output element of reshape, transpose, slice, concat, flip,
 maximum and reduce_max is an input element, softmax outputs lie in [0, 1],
 |gelu(x)| <= |x|, and softplus(x) <= max(x, 0) + log 2
 (``_FINITE_PRESERVING``).  An overflowing op still lets numpy emit its
@@ -14,8 +14,10 @@ maximum and reduce_max is an input element, softmax outputs lie in [0, 1],
 ``evaluate`` run under ``np.errstate``, so under ``python -W error`` they
 still end in :class:`NumericsError`, while a direct ``add``, ``mul`` or
 ``matmul`` call raises the warning first.
-An op output may share memory with its inputs (reshape, transpose, slice
-and flip return numpy views), so nothing writes into one.
+The structural ops make views, not copies: reshape and transpose numpy views,
+slice and flip basic slices (flip steps by -1); only concat copies.  The
+backward rules of transpose, flip and concat return views of the gradient.
+An op output may thus share memory with its inputs, so nothing writes into one.
 
 When any input of a primitive has ``requires_grad`` outside a
 :func:`no_grad` block (:func:`records`), a :class:`TapeNode` is recorded;
@@ -35,6 +37,7 @@ gradient's, so a float32 model backpropagates in float32 and nothing casts back.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from contextlib import contextmanager
@@ -229,20 +232,19 @@ _FINITE_PRESERVING = frozenset(
 
 
 def _result(op: str, out: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
+    # one walk over the inputs checks their precision and applies :func:`records`
+    record = False
     for inp in inputs:
-        if inp.dtype != out.dtype:
-            raise TypeError(f"{op}: mixed precisions {inp.dtype} and {out.dtype} in one graph")
+        if inp.data.dtype != out.dtype:
+            raise TypeError(f"{op}: mixed precisions {inp.data.dtype} and {out.dtype} in one graph")
+        record = record or inp.requires_grad
     if op not in _FINITE_PRESERVING and not np.isfinite(out).all():
         raise NumericsError(f"{op} produced non-finite values (overflow or domain error)")
     t = Tensor.__new__(Tensor)
     t.data = out
     t.grad = None
-    if records(*inputs):
-        t.requires_grad = True
-        t.node = TapeNode(op, inputs, backward_fn)
-    else:
-        t.requires_grad = False
-        t.node = None
+    t.requires_grad = record = record and _grad_mode.enabled
+    t.node = TapeNode(op, inputs, backward_fn) if record else None
     return t
 
 
@@ -362,7 +364,7 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
         raise ShapeError(f"transpose: axes {axes} do not permute trailing axes of {x.shape}")
     full = tuple(range(lead)) + tuple(lead + a for a in axes)
     out = x.data.transpose(full)
-    inverse = tuple(int(i) for i in np.argsort(full))
+    inverse = tuple(sorted(range(len(full)), key=full.__getitem__))
 
     def backward(g):
         return (g.transpose(inverse),)
@@ -392,8 +394,7 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     except ValueError as exc:
         shapes = [t.shape for t in tensors]
         raise ShapeError(f"concat: shapes {shapes} do not join on axis {axis}") from exc
-    # a list, not an ndarray, so the closure keeps no extra array on the tape
-    ends = np.cumsum([t.shape[axis] for t in tensors[:-1]]).tolist()
+    ends = list(itertools.accumulate(t.shape[axis] for t in tensors[:-1]))
 
     def backward(g):
         return np.split(g, ends, axis=axis)
@@ -402,11 +403,11 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
 
 
 def flip(x: Tensor, axis: int) -> Tensor:
-    axis = _axis("flip", axis, x.ndim)
-    out = np.flip(x.data, axis=axis)
+    key = (slice(None),) * _axis("flip", axis, x.ndim) + (slice(None, None, -1),)
+    out = x.data[key]
 
     def backward(g):
-        return (np.flip(g, axis=axis),)
+        return (g[key],)
 
     return _result("flip", out, (x,), backward)
 
@@ -479,9 +480,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         raise ShapeError(
             f"layer_norm: scale/shift shapes {gamma.shape}/{beta.shape} do not match channels {c}"
         )
-    mean = x.data.mean(axis=-1, keepdims=True)
+    # sums divided by c, which numpy's ``mean`` computes bit for bit, without its Python layer
+    mean = x.data.sum(axis=-1, keepdims=True) / c
     centered = x.data - mean
-    var = np.mean(centered * centered, axis=-1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / c
     inv_std = 1.0 / np.sqrt(var + 1e-5)
     xhat = centered * inv_std
     out = gamma.data * xhat + beta.data
@@ -492,8 +494,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         dbeta = g.sum(axis=lead)
         dgamma = (g * xhat).sum(axis=lead)
         dxhat = g * gamma_data
-        m1 = dxhat.mean(axis=-1, keepdims=True)
-        m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
+        m1 = dxhat.sum(axis=-1, keepdims=True) / c
+        m2 = (dxhat * xhat).sum(axis=-1, keepdims=True) / c
         dx = inv_std * (dxhat - m1 - xhat * m2)
         return dx, dgamma, dbeta
 
@@ -531,7 +533,7 @@ def reduce_sum(x: Tensor, axis=None) -> Tensor:
 def reduce_mean(x: Tensor, axis=None) -> Tensor:
     axes = _normalize_axes("reduce_mean", axis, x.ndim)
     count = math.prod(x.shape[ax] for ax in axes)
-    out = x.data.mean(axis=axes)
+    out = x.data.sum(axis=axes) / count  # bitwise numpy's mean (see layer_norm)
     x_shape = x.shape
 
     def backward(g):
@@ -586,25 +588,25 @@ def conv2d(x: Tensor, w: Tensor) -> Tensor:
 
     pt, pl = (kh - 1) // 2, (kw - 1) // 2
     xb = x.data.reshape((-1, h, wdt, cin))
-    xp = np.pad(xb, ((0, 0), (pt, kh - 1 - pt), (pl, kw - 1 - pl), (0, 0)))
+    inner = (slice(None), slice(pt, pt + h), slice(pl, pl + wdt))
+    xp = np.zeros((xb.shape[0], h + kh - 1, wdt + kw - 1, cin), dtype=x.dtype)
+    xp[inner] = xb
     w_data = w.data
-    taps = [(m, n) for m in range(kh) for n in range(kw)]
-
-    def tap(arr, m, n):
-        return arr[:, m : m + h, n : n + wdt, :]
-
+    # (kernel index, the window of the padded map that tap reads)
+    taps = [((m, n), (slice(None), slice(m, m + h), slice(n, n + wdt)))
+            for m in range(kh) for n in range(kw)]
     out = np.zeros((xb.shape[0], h, wdt, cout), dtype=x.dtype)
-    for m, n in taps:
-        out += apply(tap(xp, m, n), w_data[m, n])
+    for k, window in taps:
+        out += apply(xp[window], w_data[k])
     x_shape = x.shape
 
     def backward(g):
         gb4 = g.reshape((-1, h, wdt, cout))
         gxp = np.zeros_like(xp, dtype=g.dtype)
         gw = np.zeros_like(w_data, dtype=g.dtype)
-        for m, n in taps:
-            gw[m, n] = grad_k(tap(xp, m, n), gb4)
-            tap(gxp, m, n)[...] += grad_x(gb4, w_data[m, n])
-        return gxp[:, pt : pt + h, pl : pl + wdt, :].reshape(x_shape), gw
+        for k, window in taps:
+            gw[k] = grad_k(xp[window], gb4)
+            gxp[window] += grad_x(gb4, w_data[k])
+        return gxp[inner].reshape(x_shape), gw
 
     return _result("conv2d", out.reshape(x_shape[:-1] + (cout,)), (x, w), backward)

@@ -351,6 +351,37 @@ def test_restored_parameters_are_writable_and_pass_a_gradient_check(tmp_path):
     assert err < 1e-3, err
 
 
+def test_checkpoint_load_draws_no_initial_weight_and_later_builds_are_unchanged(tmp_path, monkeypatch):
+    config = micro_config(seed=21)
+    path = str(tmp_path / "model.ckpt")
+    save_checkpoint(Model(config), path)
+    built = [p.data.copy() for p in Model(config).parameters()]
+    default_rng = np.random.default_rng
+
+    class NoNormalDraws:
+        """The seeded generator, except that a normal draw fails the test."""
+
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def normal(self, *args, **kwargs):
+            raise AssertionError("load_checkpoint drew an initial weight")
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np.random, "default_rng", NoNormalDraws)
+        load_checkpoint(path)
+    # a refused load builds its model first, too
+    blob = open(path, "rb").read()
+    open(path, "wb").write(blob[:-4])
+    with pytest.raises(CheckpointError, match="truncated"):
+        load_checkpoint(path)
+    for want, p in zip(built, Model(config).parameters()):
+        assert np.array_equal(p.data, want)
+
+
 def test_checkpoint_load_holds_the_payload_once(tmp_path):
     path = tmp_path / "default.ckpt"
     save_checkpoint(Model(ModelConfig()), str(path))

@@ -3,6 +3,7 @@ verification of every differentiable primitive, and determinism."""
 
 import gc
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -388,6 +389,44 @@ def test_fixed_seed_graph_is_bitwise_deterministic():
 def test_overflow_surfaces_as_error_not_nan():
     with pytest.raises(NumericsError, match="exp"):
         exp(Tensor([1000.0], dtype=np.float32))
+
+
+# op -> (the last entry of an input of ones, "max" for the dtype's largest value;
+# the op applied to that input x, to that largest value and to constants c(values));
+# only the last output entry overflows or leaves the op's domain
+CHECKED_OP_CASES = {
+    "add": ("max", lambda x, big, c: add(x, x)),
+    "mul": ("max", lambda x, big, c: mul(x, x)),
+    "matmul": ("max", lambda x, big, c: matmul(reshape(x, (1, -1)), reshape(x, (-1, 1)))),
+    "conv2d": ("max", lambda x, big, c: conv2d(reshape(x, (-1, 1, 1)), c(np.full((1, 1, 1, 1), 2.0)))),
+    "exp": (1e3, lambda x, big, c: exp(x)),
+    "log": (-1.0, lambda x, big, c: log(x)),
+    "sqrt": (-1.0, lambda x, big, c: sqrt(x)),
+    # rows (1, 1) normalize to 0 and give beta; the last row, (1, 3), overflows
+    "layer_norm": (3.0, lambda x, big, c: layer_norm(reshape(x, (-1, 2)), c([big, big]), c([big, big]))),
+    "reduce_sum": ("max", lambda x, big, c: reduce_sum(concat([x, x], axis=0))),
+    "reduce_mean": ("max", lambda x, big, c: reduce_mean(concat([x, x], axis=0))),
+}
+# the ops that silence numpy's warning themselves; callers of the others use np.errstate
+SILENT_OPS = {"exp", "log", "sqrt"}
+
+
+def test_the_checked_op_cases_are_every_op_that_checks_its_result():
+    ops = {name.rstrip("_") for name in tensor.__all__} - {"Tensor", "TapeNode", "no_grad", "records"}
+    assert set(CHECKED_OP_CASES) == ops - tensor._FINITE_PRESERVING
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("size", [4, 300_000])  # 300,000 entries are over 1 MB in float32
+@pytest.mark.parametrize("op", list(CHECKED_OP_CASES))
+def test_every_checked_op_raises_numerics_error_naming_itself(op, size, dtype):
+    big = np.finfo(dtype).max
+    last, apply = CHECKED_OP_CASES[op]
+    x = np.ones(size, dtype=dtype)
+    x[-1] = big if last == "max" else last
+    quiet = nullcontext() if op in SILENT_OPS else np.errstate(over="ignore", invalid="ignore")
+    with quiet, pytest.raises(NumericsError, match=f"^{op} produced non-finite values"):
+        apply(Tensor(x), big, lambda values: Tensor(np.asarray(values, dtype=dtype)))
 
 
 FINITE_PRESERVING_CASES = {
