@@ -4,18 +4,16 @@ Each branch maps a feature map (..., H, W, C) to a same-shape map:
 
 * :class:`ConvBranch` -- one SAME 3x3 convolution plus GELU.
 * :class:`AttentionBranch` -- full multi-head self-attention over the
-  flattened token sequence, in blocks of 64 query rows; without a tape the
-  blocks run on raw arrays and divide the output, not the probabilities, by
-  the row sums.
+  flattened token sequence, in blocks of 64 query rows.
 * :class:`ChannelMlpBranch` -- per-position two-layer channel MLP.
 * :class:`SsmBranch` -- an input-conditioned diagonal state-space scan of
-  the map's four directional traversals, stacked time-major as
-  (..., H*W, 4, C) and scanned at once; the per-token terms (step, input
-  and output vectors, decay and drive) are computed once on the grid and
-  then reordered.  Inverse reordering and summation of the readouts, the
-  skip term added once on the grid and a pointwise output mix follow.  The
-  scan is the plain recurrence when no tape is recorded and a taped
-  odd-even scan when one is.
+  the map's four directional traversals, scanned at once
+  (:func:`selective_scan`), merged back onto the grid, plus a skip term and
+  a pointwise output mix.
+
+A call that records no tape node (:func:`~mixssm.tensor.records`) runs
+the SSM and the attention branch as one raw-array function each,
+:func:`_ssm` and :func:`_attention`; a recording call composes taped ops.
 
 Leading axes beyond (H, W, C) are treated as batch dimensions everywhere.
 """
@@ -108,12 +106,13 @@ def linear_scan(decay: Tensor, x: Tensor) -> Tensor:
 
     A call that records no tape node (:func:`~mixssm.tensor.records`: under
     ``no_grad``, or when no operand requires grad) runs the recurrence as it
-    reads, one step at a time on raw arrays (Mamba's recurrent mode, Gu & Dao
-    2023, Sec. 3.3), and checks the result's finiteness once.  A recording
-    call runs an odd-even (work-efficient) scan of vectorized, taped ops:
-    adjacent steps are combined in pairs, the half-length sequence is scanned
-    recursively, and the even steps are filled in from it.  Its work and tape
-    stay O(T); the reassociated products match the recurrence up to roundoff.
+    reads, one step at a time on a copy of ``x`` (Mamba's recurrent mode,
+    Gu & Dao 2023, Sec. 3.3; :func:`_ssm` runs the same loop), and checks
+    the result's finiteness once.  A recording call runs an odd-even
+    (work-efficient) scan of vectorized, taped ops: adjacent steps are
+    combined in pairs, the half-length sequence is scanned recursively, and
+    the even steps are filled in from it.  Its work and tape stay O(T); the
+    reassociated products match the recurrence up to roundoff.
     """
     if decay.shape != x.shape or x.ndim < 3:
         raise ShapeError(
@@ -123,25 +122,22 @@ def linear_scan(decay: Tensor, x: Tensor) -> Tensor:
         raise TypeError(f"linear_scan: mixed precisions {decay.dtype} and {x.dtype}")
     if records(decay, x):
         return _odd_even_scan(decay, x, x.ndim - 3)
-    return Tensor(_recurrence(decay.data, x.data))
+    return Tensor(_recurrence(decay.data, x.data.copy()))
 
 
-def _recurrence(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """h_t = a_t * h_{t-1} + b_t along axis -3, step by step, into a fresh array.
-
-    Overflow is left to the caller's finiteness check.
-    """
-    out = np.empty(b.shape, dtype=b.dtype)
+def _recurrence(a: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """h_t = a_t * h_{t-1} + h_t along axis -3, step by step, in place: ``h``
+    holds the drive on entry and the states on return; overflow is left to
+    the caller's finiteness check."""
     # time-major views: iterating one walks its steps
-    time_major = (b.ndim - 3, *range(b.ndim - 3), b.ndim - 2, b.ndim - 1)
-    a_t, b_t, h = (arr.transpose(time_major) for arr in (a, b, out))
-    if len(h):
-        h[0] = b_t[0]
+    time_major = (h.ndim - 3, *range(h.ndim - 3), h.ndim - 2, h.ndim - 1)
+    a_t, h_t = a.transpose(time_major), h.transpose(time_major)
+    carried = np.empty(h_t.shape[1:], dtype=h.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        for a_s, b_s, prev, step in zip(a_t[1:], b_t[1:], h, h[1:]):
-            np.multiply(a_s, prev, out=step)
-            np.add(step, b_s, out=step)
-    return out
+        for a_s, prev, step in zip(a_t[1:], h_t, h_t[1:]):
+            np.multiply(a_s, prev, out=carried)
+            np.add(carried, step, out=step)
+    return h
 
 
 def _odd_even_scan(a: Tensor, b: Tensor, axis: int) -> Tensor:
@@ -254,19 +250,35 @@ _QUERY_BLOCK = 64
 
 def _attention(q: np.ndarray, k: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """softmax(q k^T) vals over the last two axes, ``_QUERY_BLOCK`` query rows
-    at a time, into a fresh array.
+    at a time (scores in one reused buffer), into a fresh array; the
+    products with ``vals``, not the probabilities, are divided by row sums.
 
-    Each block's scores go into one buffer reused across blocks; a
-    non-finite score raises :class:`NumericsError` (a -inf one would
-    otherwise turn into probability 0).  The row max is subtracted and exp
-    taken in place, and the unnormalized product with ``vals`` is written
-    into the output rows, which are then divided by the row sums.
+    Bound rule: every score lies in [-B, B], B = max|q_i| * max|k_j|
+    (Cauchy-Schwarz).  If B <= log(largest float) / 2, every exp(score) and
+    row sum is finite and nonzero, so exp is taken of the raw scores, one
+    product with ``vals`` plus a ones column gives weighted and row sums, and
+    the output is checked once.  Fallback (B over the bound or that output
+    not finite): a non-finite score raises :class:`NumericsError` (a -inf one
+    would become probability 0), and the row max is subtracted before exp.
     """
-    t = q.shape[-2]
-    out = np.empty(q.shape[:-1] + vals.shape[-1:], dtype=q.dtype)
+    t, d = q.shape[-2], vals.shape[-1]
+    out = np.empty(q.shape[:-1] + (d,), dtype=q.dtype)
     keys = k.swapaxes(-1, -2)
     buffer = np.empty(q.shape[:-2] + (min(t, _QUERY_BLOCK), t), dtype=q.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
+        # squared norms: an overflow or NaN fails the test and takes the fallback
+        bound = np.log(np.finfo(q.dtype).max) / 2
+        if (q * q).sum(-1).max(initial=0) * (k * k).sum(-1).max(initial=0) <= bound * bound:
+            extended = np.concatenate([vals, np.ones_like(vals[..., :1])], axis=-1)
+            sums = np.empty(buffer.shape[:-1] + (d + 1,), dtype=q.dtype)
+            for s in range(0, t, _QUERY_BLOCK):
+                rows = q[..., s : s + _QUERY_BLOCK, :]
+                scores = buffer[..., : rows.shape[-2], :]
+                np.exp(np.matmul(rows, keys, out=scores), out=scores)
+                part = np.matmul(scores, extended, out=sums[..., : rows.shape[-2], :])
+                np.divide(part[..., :d], part[..., d:], out=out[..., s : s + _QUERY_BLOCK, :])
+            if np.isfinite(out).all():
+                return out
         for s in range(0, t, _QUERY_BLOCK):
             rows = q[..., s : s + _QUERY_BLOCK, :]
             scores = buffer[..., : rows.shape[-2], :]
@@ -286,11 +298,8 @@ class AttentionBranch(Module):
 
     softmax(q k^T) v is computed for blocks of ``_QUERY_BLOCK`` (64) query
     rows, so no (heads, T, T) score array exists at once (Rabe & Staats
-    2021, arXiv 2112.05682).  When the call records no tape node
-    (:func:`~mixssm.tensor.records`), the blocks run on raw arrays in one
-    reused score buffer and are normalized after the product with v: the
-    (heads, rows, d) output is divided by the row sums, not the (heads,
-    rows, T) probabilities (:func:`_attention`).  A recording call composes
+    2021, arXiv 2112.05682).  A call that records no tape node runs the
+    blocks on raw arrays (:func:`_attention`); a recording call composes
     taped slice, matmul, softmax and concat ops, and its graph keeps every
     block's probabilities for backward.
     """
@@ -355,6 +364,52 @@ class ChannelMlpBranch(Module):
         return add(matmul(h, self.w2), self.b2)
 
 
+def _traversals(grid: np.ndarray) -> np.ndarray:
+    """:func:`cross_scan` on a raw (..., H, W, K) array: one copy per
+    traversal, the reversed ones from the forward ones, and no concat."""
+    *lead, h, w, k = grid.shape
+    seqs = np.empty((*lead, h * w, 4, k), dtype=grid.dtype)
+    seqs.reshape(*lead, h, w, 4, k)[..., 0, :] = grid
+    seqs.reshape(*lead, w, h, 4, k)[..., 2, :] = grid.swapaxes(-3, -2)
+    seqs[..., 1, :] = seqs[..., ::-1, 0, :]
+    seqs[..., 3, :] = seqs[..., ::-1, 2, :]
+    return seqs
+
+
+def _ssm(v: np.ndarray, branch: "SsmBranch") -> np.ndarray:
+    """:class:`SsmBranch` on raw arrays: the taped forward's ops in order, so
+    its bits, with the recurrence run in place on the drive.  A non-finite
+    value reaches the result (checked by the caller's ``Tensor``) unless exp
+    or softplus makes it finite, so the softplus input and the largest
+    |dt * rate| are checked here: :class:`NumericsError` is raised exactly
+    when the taped composition raises it.
+    """
+    *lead, h, w, c = v.shape
+    t, n = h * w, branch.state_dim
+    with np.errstate(over="ignore", invalid="ignore"):
+        pre = v @ branch.dt_weight.data + branch.dt_bias.data
+        rates = -np.exp(branch.a_log.data)
+        dt = np.logaddexp(np.zeros((), dtype=v.dtype), pre)
+        # dt >= 0 >= rates, rounding is monotone: not finite iff a dt * rate or a rate is not
+        steepest = dt.max(initial=0) * rates.min(initial=0)
+        if not (np.isfinite(pre).all() and np.isfinite(steepest)):
+            raise NumericsError("SsmBranch: step size or decay rate overflowed")
+        # dt repeated N times: a broadcast trailing N axis runs N elements per inner loop
+        decay = np.exp(np.repeat(dt, n, axis=-1) * rates.reshape(-1))
+        b_tok = v @ branch.b_weight.data
+        drive = np.repeat(dt * v, n, axis=-1).reshape(*lead, h, w, c, n) * b_tok[..., None, :]
+        decays, drives = (_traversals(g.reshape(*lead, h, w, c * n)) for g in (decay, drive))
+        states = _recurrence(decays.reshape(*lead, t, 4 * c, n), drives.reshape(*lead, t, 4 * c, n))
+        c_seq = _traversals(v @ branch.c_weight.data)
+        read = np.matmul(states.reshape(*lead, t, 4, c, n), c_seq.reshape(*lead, t, 4, n, 1))
+        pairs = read.reshape(*lead, t, 2, 2, c)
+        both = pairs[..., 0, :] + pairs[..., ::-1, :, 1, :]
+        rows = both[..., 0, :].reshape(*lead, h, w, c)
+        cols = both[..., 1, :].reshape(*lead, w, h, c).swapaxes(-3, -2)
+        merged = rows + cols + v * (branch.skip_gain.data * branch.four.data)
+        return merged @ branch.out_weight.data + branch.out_bias.data
+
+
 class SsmBranch(Module):
     """Cross-scan selective SSM branch.
 
@@ -363,7 +418,8 @@ class SsmBranch(Module):
     which is added once to the merged readouts.  The diagonal rates are
     stored as ``a_log`` and used as A = -exp(a_log), so no finite parameter
     value gives a per-step decay above 1; ``a_log`` starts at log(1..N) per
-    channel.  The dt bias is drawn so softplus lands in [1e-3, 1e-1].
+    channel.  The dt bias is drawn so softplus lands in [1e-3, 1e-1].  A
+    call that records no tape node runs :func:`_ssm`, with the taped bits.
     """
 
     def __init__(
@@ -391,6 +447,10 @@ class SsmBranch(Module):
         self.minus_one, self.four = (Tensor(np.asarray(s, dtype=dtype)) for s in (-1.0, 4.0))
 
     def __call__(self, v: Tensor) -> Tensor:
-        read = selective_scan(v, self)  # first, as it refuses anything but a (..., H, W, C) map
+        if v.ndim < 3 or v.shape[-1] != self.skip_gain.shape[0]:
+            raise ShapeError(f"SsmBranch expects (..., H, W, {self.skip_gain.shape[0]}), got {v.shape}")
+        if not records(v, *self.parameters()):
+            return Tensor(_ssm(v.data, self))
+        read = selective_scan(v, self)
         merged = add(cross_merge(read, *v.shape[-3:-1]), mul(v, mul(self.skip_gain, self.four)))
         return add(matmul(merged, self.out_weight), self.out_bias)

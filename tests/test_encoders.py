@@ -297,6 +297,48 @@ def test_attention_runs_the_taped_softmax_only_when_it_records(monkeypatch):
     assert calls == [(2, 64, 81), (2, 17, 81)]
 
 
+def score_bound(branch, v):
+    """max_i |q_i| * max_j |k_j| over the heads and tokens of map ``v``, in float64."""
+    x = v.reshape(-1, v.shape[-1]).astype(np.float64)
+    q = x @ branch.q_proj.data.astype(np.float64) / math.sqrt(branch.head_dim)
+    k = x @ branch.k_proj.data.astype(np.float64)
+    return math.sqrt((q * q).sum(-1).max() * (k * k).sum(-1).max())
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("side", [0.98, 1.02], ids=["below_bound", "above_bound"])
+def test_tape_free_attention_on_both_sides_of_the_score_bound(dtype, side):
+    # below half the log of the largest float, exp runs on the raw scores;
+    # above it, the max-shifted loop runs.  head_dim 16 scales q exactly.
+    bound = math.log(np.finfo(dtype).max) / 2
+    rng = np.random.default_rng(27)
+    branch = AttentionBranch(32, heads=2, rng=rng, dtype=dtype)
+    v = rng.standard_normal((9, 15, 32))
+    v = (v * math.sqrt(side * bound / score_bound(branch, v))).astype(dtype)
+    assert (score_bound(branch, v) < bound) is (side < 1)
+    with no_grad():
+        got = branch(Tensor(v)).data
+    if dtype is np.float32:
+        assert np.abs(got - scores_then_scale_attention(branch, v)).max() < 1e-6
+    else:
+        assert np.abs(got - attention_oracle(branch, v)).max() < 1e-12
+
+
+def test_attention_falls_back_to_the_shifted_loop_when_the_raw_output_overflows():
+    # every score is 20, under the float32 bound (44.4), but exp(20) * 1e30
+    # summed over three tokens overflows; after the max shift the weights are 1/3
+    q = np.tile(np.array([math.sqrt(20.0), 0.0], dtype=np.float32), (1, 3, 1))
+    vals = np.array([[[1.0, 2.0], [3.0, -1.0], [0.5, 1.0]]], dtype=np.float32) * np.float32(1e30)
+    # the fallback loop's ops on its one block
+    scores = q @ q.swapaxes(-1, -2)
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    want = scores @ vals
+    want /= scores.sum(axis=-1, keepdims=True)
+    got = encoders._attention(q, q, vals)
+    assert np.isfinite(want).all() and np.array_equal(got, want)
+
+
 def test_attention_at_head_dim_8_matches_naive_oracle():
     rng = np.random.default_rng(8)
     branch = AttentionBranch(16, heads=2, rng=rng, dtype=np.float64)
@@ -661,14 +703,16 @@ def test_ssm_branch_matches_list_based_path_bitwise():
 def test_ssm_decays_stay_in_unit_interval_for_extreme_rates(a_log, monkeypatch):
     # T = 3136 is the paper's first-stage scan length, where a decay above 1
     # would grow the state as decay^T; A = -exp(a_log) keeps every decay in
-    # [0, 1] (float32 rounds these to exactly 1.0 and 0.0)
+    # [0, 1] (float32 rounds these to exactly 1.0 and 0.0).  The tape-free
+    # branch hands its decay to the recurrence it shares with linear_scan.
     decays = []
+    recurrence = encoders._recurrence
 
-    def recording_scan(decay, x):
-        decays.append(decay.data)
-        return linear_scan(decay, x)
+    def recording_recurrence(a, h):
+        decays.append(a.copy())
+        return recurrence(a, h)
 
-    monkeypatch.setattr(encoders, "linear_scan", recording_scan)
+    monkeypatch.setattr(encoders, "_recurrence", recording_recurrence)
     rng = np.random.default_rng(19)
     branch = SsmBranch(8, state_dim=4, rng=rng)
     branch.a_log.data = np.full_like(branch.a_log.data, a_log)
@@ -678,6 +722,85 @@ def test_ssm_decays_stay_in_unit_interval_for_extreme_rates(a_log, monkeypatch):
     assert decay.shape == (56 * 56, 4 * 8, 4)  # time-major (T, 4 * C, N)
     assert decay.min() >= 0.0 and decay.max() <= 1.0
     assert np.isfinite(out).all()
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 6), (1, 9, 6), (4, 7, 6), (2, 3, 5, 6)])
+def test_tape_free_ssm_branch_matches_independent_oracle(shape):
+    # one position, one row, a non-square map and a batch of two
+    rng = np.random.default_rng(23)
+    branch = SsmBranch(6, state_dim=4, rng=rng, dtype=np.float64)
+    branch.skip_gain.data = rng.standard_normal(6)
+    branch.out_bias.data = rng.standard_normal(6)
+    v = rng.standard_normal(shape)
+    with no_grad():
+        got = branch(t64(v)).data
+    assert np.abs(got - naive_ssm_branch(v, branch)).max() < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(56, 56, 32), (7, 7, 256)])
+def test_tape_free_ssm_branch_is_bitwise_the_composed_ops(shape):
+    # the raw-array path against cross_merge(selective_scan(v)), the skip and
+    # the projection composed from tensor ops, at the first and last default stage
+    rng = np.random.default_rng(24)
+    branch = SsmBranch(shape[-1], state_dim=8, rng=rng)
+    v = Tensor(rng.standard_normal(shape).astype(np.float32))
+    with no_grad():
+        read = cross_merge(selective_scan(v, branch), *shape[:2])
+        merged = add(read, mul(v, mul(branch.skip_gain, branch.four)))
+        want = add(matmul(merged, branch.out_weight), branch.out_bias).data
+        assert np.array_equal(branch(v).data, want)
+
+
+def test_tape_free_ssm_branch_makes_no_cross_scan_concat_or_scan_call(monkeypatch):
+    calls = []
+
+    def counting(name, op):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return op(*args, **kwargs)
+        return counted
+
+    for name in ("cross_scan", "concat", "linear_scan"):
+        monkeypatch.setattr(encoders, name, counting(name, getattr(encoders, name)))
+    rng = np.random.default_rng(25)
+    branch = SsmBranch(4, state_dim=3, rng=rng)
+    v = Tensor(rng.standard_normal((2, 5, 3, 4)).astype(np.float32))
+    with no_grad():
+        branch(v)
+    assert calls == []
+    branch(v)  # the parameters require grad: the taped composition runs
+    assert set(calls) == {"cross_scan", "concat", "linear_scan"}
+
+
+def overflowing_softplus_input(branch):
+    # v @ W_dt = -3e38 is finite; adding b_dt = -3e38 overflows to -inf,
+    # which softplus would quietly turn into dt = 0
+    branch.dt_weight.data = np.full_like(branch.dt_weight.data, -3e38 / 4)
+    branch.dt_bias.data = np.full_like(branch.dt_bias.data, -3e38)
+
+
+def overflowing_rates(branch):
+    # exp(100) overflows float32; A = -inf would quietly make its decays exp(-inf) = 0
+    branch.a_log.data[0, 0] = 100.0
+
+
+def overflowing_step_times_rate(branch):
+    # exp(80) = 5.5e34 and dt = 1e5 are both finite, their product is not
+    branch.a_log.data[1, 2] = 80.0
+    branch.dt_bias.data = np.full_like(branch.dt_bias.data, 1e5)
+
+
+@pytest.mark.parametrize(
+    "poison", [overflowing_softplus_input, overflowing_rates, overflowing_step_times_rate]
+)
+def test_ssm_branch_raises_numerics_error_where_exp_or_softplus_would_hide_overflow(poison):
+    for mode in (nullcontext, no_grad):
+        branch = SsmBranch(4, state_dim=3, rng=np.random.default_rng(26))
+        poison(branch)
+        v = Tensor(np.ones((3, 2, 4), dtype=np.float32))
+        # the taped add or mul lets numpy warn before it raises
+        with mode(), np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError):
+            branch(v)
 
 
 # -- shared shape contract ---------------------------------------------------------------
