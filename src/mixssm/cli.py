@@ -316,7 +316,7 @@ def main(argv=None) -> int:
         # an overflow ends in NumericsError (exit 2), not in a RuntimeWarning
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             return args.handler(args)
-    except (_UsageError, OSError, ValueError) as exc:
+    except (_UsageError, OSError, ValueError, MemoryError) as exc:
         # ConfigError, DataError, CheckpointError and ShapeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,8 +12,10 @@ Each branch maps a feature map (..., H, W, C) to a same-shape map:
   a pointwise output mix.
 
 A call that records no tape node (:func:`~mixssm.tensor.records`) runs
-the SSM and the attention branch as one raw-array function each,
-:func:`_ssm` and :func:`_attention`; a recording call composes taped ops.
+the whole SSM branch as one raw-array function, :func:`_ssm`, and only
+attention's blocked softmax core as one, :func:`_attention` (its q/k/v and
+output projections stay unrecorded tensor ops); a recording call composes
+taped ops.
 
 Leading axes beyond (H, W, C) are treated as batch dimensions everywhere.
 """

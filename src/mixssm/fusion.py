@@ -6,7 +6,7 @@ with a depthwise k x k convolution, pools it to a per-channel descriptor,
 runs a squeeze-style MLP to one logit per (channel, strategy) pair,
 normalizes over strategies with softmax, and takes the per-channel convex
 combination of the branch maps.  The elementwise max / average modes are the non-adaptive
-baselines that replace the whole module.
+baselines that replace the whole module, and own no parameters.
 """
 
 from __future__ import annotations
@@ -103,11 +103,10 @@ def selective_combine(stacked: Tensor, weights: Tensor) -> Tensor:
 
 
 class SelectiveFusion(Module):
-    """Weight generator and combiner for ``n`` encoding strategies.
-
-    The depthwise pre-pool kernel starts as the identity (center tap one) so
-    a freshly built module with k > 1 reproduces the plain k = 1 path.
-    """
+    """Weight generator and combiner for ``n`` encoding strategies.  Only the
+    selective mode builds the gate and draws it from ``rng``; the elementwise
+    modes own no parameters.  The depthwise pre-pool kernel starts as the identity
+    (center tap one) so a freshly built module with k > 1 reproduces the k = 1 path."""
 
     def __init__(
         self,
@@ -125,6 +124,8 @@ class SelectiveFusion(Module):
         self.channels = channels
         self.pooling = pooling
         self.mode = mode
+        if mode != "selective":
+            return
 
         kernel = np.zeros((kernel_size, kernel_size, 1, channels), dtype=dtype)
         kernel[kernel_size // 2, kernel_size // 2, 0, :] = 1.0
@@ -157,7 +158,7 @@ def selective_module(
     params: SelectiveFusion,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Aggregate branch maps by the mode ``params`` was built with.
+    """Aggregate branch maps by ``params.mode``; only the selective mode has a gate.
 
     ``rng`` reaches only stochastic pooling: with it the pooled descriptor is
     a sample, without it the expectation (see :func:`pool_global`).  In

@@ -215,8 +215,8 @@ class PatchMerging(Module):
 class MixSsmBlock(Module):
     """Pre-norm residual block running the enabled branches in parallel.
 
-    With a single enabled branch the fusion weights are identically one and
-    the block degenerates to v + branch(norm(v)).
+    A single enabled branch has nothing to select: ``fusion`` is None, no gate
+    is built or drawn, and the block is v + branch(norm(v)).
     """
 
     def __init__(
@@ -248,7 +248,7 @@ class MixSsmBlock(Module):
         # built in BRANCH_NAMES order, so the rng draws and parameter names are fixed
         for name in BRANCH_NAMES:
             setattr(self, name, build[name]() if name in self.branch_order else None)
-        self.fusion = SelectiveFusion(
+        self.fusion = None if len(self.branch_order) == 1 else SelectiveFusion(
             channels,
             n=len(self.branch_order),
             reduction=reduction,
@@ -262,6 +262,8 @@ class MixSsmBlock(Module):
     def __call__(self, v: Tensor, rng=None) -> Tensor:
         u = self.norm(v)
         outputs = [getattr(self, name)(u) for name in self.branch_order]
+        if self.fusion is None:
+            return add(v, outputs[0])
         return add(v, selective_module(outputs, self.fusion, rng=rng))
 
 

@@ -22,7 +22,7 @@ __all__ = [
 ]
 
 LOG_CLAMP = 1e-12
-EVAL_BATCH = 32
+EVAL_TOKENS = 2048  # stage-1 tokens per evaluate pass: 32 desk images, one 224x224
 
 
 @dataclass
@@ -192,16 +192,20 @@ def metrics_from_predictions(
 
 
 def evaluate(model: Model, dataset: Dataset) -> Metrics:
-    """Deterministic evaluation in batches of ``EVAL_BATCH`` (stochastic
-    pooling takes its expectation: no generator is passed).
+    """Deterministic evaluation, one pass of at most ``EVAL_TOKENS`` stage-1
+    tokens (and at least one image) at a time; the forward is batch-invariant,
+    so the pass size moves no metric.  Stochastic pooling takes its
+    expectation: no generator is passed.
 
     Raises ``ValueError`` on the datasets :func:`train` refuses.
     """
     _check_dataset(model, dataset, "evaluate")
+    (h, w), p = model.config.input_size, model.config.patch_size
+    per_pass = max(1, EVAL_TOKENS // (h // p * (w // p)))
     preds = []
     with no_grad(), np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for start in range(0, len(dataset), EVAL_BATCH):
-            images = Tensor(dataset.images[start : start + EVAL_BATCH])
+        for start in range(0, len(dataset), per_pass):
+            images = Tensor(dataset.images[start : start + per_pass])
             probs = model.forward_classify(images)
             preds.append(np.argmax(probs.data, axis=-1))
     predictions = np.concatenate(preds)

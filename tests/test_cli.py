@@ -384,6 +384,16 @@ def test_eval_metrics_out_directory_exits_1(workdir, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_synth_out_of_memory_exits_1_without_a_traceback(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 447. GiB for an array")
+
+    monkeypatch.setattr(cli, "generate_synthetic", exhausted)
+    assert main(["synth", "--out", str(tmp_path / "x"), "--size", "200000"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "allocate" in err and "Traceback" not in err
+
+
 def test_synth_rejects_zero_per_class(tmp_path):
     assert main(["synth", "--out", str(tmp_path / "x"), "--per-class", "0"]) == 1
 
@@ -426,9 +436,18 @@ def hand_summed_groups(model):
     return groups
 
 
-@pytest.mark.parametrize("branches", [BRANCH_NAMES, ("ssm", "mlp", "msa")], ids=["full", "no_conv"])
-def test_inspect_counts_equal_hand_summed_module_counts(branches, tmp_path, capsys):
-    model = Model(dataclasses.replace(desk_config(), branches=branches))
+@pytest.mark.parametrize(
+    "overrides, gated",
+    [
+        ({}, True),
+        ({"branches": ("ssm", "mlp", "msa")}, True),
+        ({"branches": ("ssm",)}, False),
+        ({"aggregation": "elementwise-max"}, False),
+    ],
+    ids=["full", "no_conv", "ssm_only", "elementwise_max"],
+)
+def test_inspect_counts_equal_hand_summed_module_counts(overrides, gated, tmp_path, capsys):
+    model = Model(dataclasses.replace(desk_config(), **overrides))
     ckpt = str(tmp_path / "desk.ckpt")
     save_checkpoint(model, ckpt)
     capsys.readouterr()
@@ -437,6 +456,8 @@ def test_inspect_counts_equal_hand_summed_module_counts(branches, tmp_path, caps
     printed = [(name, int(count)) for name, count in (line.split() for line in lines)]
     want = hand_summed_groups(model)
     assert printed == [*want.items(), ("total", model.parameter_count())]
+    # only a selective aggregation over two or more branches has a gate
+    assert (dict(printed)["fusion"] > 0) == gated
 
 
 def _rewrite(src, dst, mutate_header, mutate_payload=lambda payload: payload):
@@ -510,6 +531,20 @@ def test_malformed_checkpoint_raises_checkpoint_error_and_exits_1(case, tmp_path
     assert main(["inspect", "--ckpt", bad]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_gated_checkpoint_relabelled_elementwise_exits_1(workdir, tmp_path, capsys):
+    # an elementwise model owns no gate, so the four-branch file's gate tensors
+    # do not fit its directory: a file written before the gates went is refused
+    ckpt = str(tmp_path / "model.ckpt")
+    save_checkpoint(Model(micro_model_config()), ckpt)
+    relabelled = str(tmp_path / "relabelled.ckpt")
+    _rewrite(ckpt, relabelled,
+             lambda header: {**header, "config": {**header["config"], "aggregation": "elementwise-max"}})
+    capsys.readouterr()
+    assert main(["eval", "--ckpt", relabelled, "--data", workdir["data"]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "directory" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

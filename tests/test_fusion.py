@@ -243,6 +243,19 @@ def test_selective_combine_rejects_swapped_weight_axes():
 # -- assembled module -----------------------------------------------------------------
 
 
+@pytest.mark.parametrize("mode", ["elementwise-max", "elementwise-average"])
+@pytest.mark.parametrize("n", [1, 4])
+def test_elementwise_fusion_owns_no_parameters_and_draws_nothing(mode, n):
+    rng = np.random.default_rng(11)
+    before = rng.bit_generator.state
+    fusion = SelectiveFusion(8, n=n, mode=mode, rng=rng, dtype=np.float64)
+    assert fusion.parameters() == []
+    assert rng.bit_generator.state == before
+    # the selective gate, built from the same state, does draw
+    SelectiveFusion(8, n=n, rng=rng, dtype=np.float64)
+    assert rng.bit_generator.state != before
+
+
 def test_elementwise_average_of_identical_maps():
     rng = np.random.default_rng(12)
     v = t64(rng.standard_normal((2, 3, 4)))
@@ -356,7 +369,4 @@ def test_selective_module_matches_list_based_path(mode, n):
     (out, grads), (want_out, want_grads) = runs
     assert np.array_equal(out, want_out)
     for got, want in zip(grads, want_grads):
-        if want is None:  # fusion parameters are unused by the elementwise modes
-            assert got is None
-        else:
-            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())

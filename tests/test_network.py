@@ -3,11 +3,14 @@
 import dataclasses
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mixssm import network
 from mixssm.errors import CheckpointError, ConfigError, NumericsError, ShapeError
+from mixssm.fusion import SelectiveFusion, selective_module
 from mixssm.gradcheck import check_parameter_gradients, finite_diff_check
 from mixssm.network import (
     BRANCH_NAMES,
@@ -21,7 +24,7 @@ from mixssm.network import (
     save_checkpoint,
     space_to_depth,
 )
-from mixssm.tensor import Tensor, mul, no_grad, reduce_sum
+from mixssm.tensor import Tensor, add, mul, no_grad, reduce_sum
 
 
 def t64(values):
@@ -144,6 +147,42 @@ def test_block_single_identity_branch_doubles_input():
     block.conv = lambda u: u
     v = t64(np.random.default_rng(5).standard_normal((4, 4, 8)))
     assert np.allclose(block(v).data, v.data + block.norm(v).data)
+
+
+@pytest.mark.parametrize("aggregation", ["selective", "elementwise-max"])
+@pytest.mark.parametrize("branch", BRANCH_NAMES)
+def test_single_branch_block_has_no_gate_and_adds_its_branch(branch, aggregation):
+    rng = np.random.default_rng(4)
+    block = MixSsmBlock(
+        8, 2, (branch,), state_dim=4, kernel_size=3, pooling="average",
+        aggregation=aggregation, reduction=4, rng=rng, dtype=np.float64,
+    )
+    assert block.fusion is None
+    v = t64(np.random.default_rng(5).standard_normal((2, 4, 4, 8)))
+    out = getattr(block, branch)(block.norm(v))
+    assert np.array_equal(block(v).data, add(v, out).data)
+    # the gate it replaces weighs the one branch by exactly 1.0 and learns nothing
+    gate = SelectiveFusion(8, n=1, rng=np.random.default_rng(6), dtype=np.float64)
+    gated = add(v, selective_module([out], gate))
+    assert np.array_equal(gated.data, block(v).data)
+    reduce_sum(mul(gated, t64(np.random.default_rng(7).standard_normal(gated.shape)))).backward()
+    assert all(p.grad is not None and not p.grad.any() for p in gate.parameters())
+
+
+@pytest.mark.parametrize(
+    "base, overrides, want",
+    [
+        (desk_config(), {"aggregation": "elementwise-max"}, 546_788),
+        (desk_config(), {"branches": ("ssm",)}, 106_020),
+        (ModelConfig(), {"branches": ("ssm",)}, 627_498),
+        (ModelConfig(), {"aggregation": "elementwise-average"}, 4_148_778),
+    ],
+    ids=["desk_elementwise", "desk_ssm_only", "default_ssm_only", "default_elementwise"],
+)
+def test_models_without_a_selective_gate_own_no_gate_weights(base, overrides, want):
+    model = Model(dataclasses.replace(base, **overrides))
+    assert model.parameter_count() == want
+    assert not any(".fusion." in name for name, _ in model.named_parameters())
 
 
 def test_block_zero_branch_parameters_is_residual_identity():
@@ -453,3 +492,33 @@ def test_checkpoint_parameter_names_are_stable():
     names_b = [n for n, _ in Model(micro_config(seed=2)).named_parameters()]
     assert names_a == names_b
     assert len(set(names_a)) == len(names_a)
+
+
+# -- golden checkpoint ---------------------------------------------------------------
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+def golden_images():
+    return np.random.default_rng(0).random((4, 16, 16, 3), dtype=np.float32)
+
+
+def test_golden_micro_checkpoint_predicts_its_recorded_probabilities():
+    """``data/golden_micro.ckpt`` holds ``micro_config()``'s seed-0 weights plus
+    seeded N(0, 0.3^2) noise (``default_rng(1)``, in ``parameters()`` order), so
+    every branch and the gate move the output; ``golden_micro_probs.json`` holds
+    its ``forward_classify`` probabilities on :func:`golden_images`.  A change to
+    the checkpoint format or the model's numerics must rewrite both files."""
+    model = load_checkpoint(str(GOLDEN / "golden_micro.ckpt"))
+    assert model.config == micro_config()
+    assert model.parameter_count() == 8674
+    want = np.array(json.loads((GOLDEN / "golden_micro_probs.json").read_text())["probabilities"])
+    with no_grad():
+        got = model.forward_classify(Tensor(golden_images())).data
+    assert np.abs(got - want).max() <= 1e-6
+
+
+def test_golden_micro_checkpoint_is_refused_by_another_format_version(monkeypatch):
+    monkeypatch.setattr(network, "CHECKPOINT_VERSION", network.CHECKPOINT_VERSION + 1)
+    with pytest.raises(CheckpointError, match="version"):
+        load_checkpoint(str(GOLDEN / "golden_micro.ckpt"))

@@ -1,6 +1,7 @@
 """Loss, optimizer, metrics and training-loop contracts."""
 
 import gc
+import importlib
 import math
 import warnings
 
@@ -20,6 +21,9 @@ from mixssm.train import (
 )
 
 from oracles import brute_force_metrics
+
+# the module, which the package's ``train`` function shadows as an attribute
+train_module = importlib.import_module("mixssm.train")
 
 
 def micro_config(**overrides):
@@ -186,6 +190,22 @@ def test_metrics_match_brute_force_on_100_random_sets():
         assert np.array_equal(m.confusion, confusion)
         assert m.accuracy == acc and m.precision == prec
         assert m.recall == rec and m.f1 == f1
+
+
+def test_evaluate_metrics_do_not_depend_on_the_pass_size(micro_dataset, monkeypatch):
+    # a 16x16 micro image has 16 stage-1 tokens: the whole set in one pass,
+    # then passes of 5 images with a short last one
+    model = Model(micro_config())
+    sizes = []
+    forward = model.forward_classify
+    model.forward_classify = lambda images: sizes.append(len(images.data)) or forward(images)
+    whole = evaluate(model, micro_dataset)
+    monkeypatch.setattr(train_module, "EVAL_TOKENS", 80)
+    passes = evaluate(model, micro_dataset)
+    assert sizes == [12, 5, 5, 2]
+    assert (passes.accuracy, passes.precision, passes.recall, passes.f1) == (
+        whole.accuracy, whole.precision, whole.recall, whole.f1)
+    assert np.array_equal(passes.confusion, whole.confusion)
 
 
 def test_evaluate_rejects_empty_dataset():
