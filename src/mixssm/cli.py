@@ -1,4 +1,4 @@
-"""Command-line surface: train, eval, gradcheck, ablate, analyze, synth, inspect.
+"""Command-line surface: train, eval, gradcheck, ablate, analyze, synth, inspect, emit-config.
 
 Exit codes are a stable contract: 0 success, 1 usage/config/data problems,
 2 numerical abort, 3 gradient-check failure.  ``--threads`` (default 1)
@@ -206,7 +206,11 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _run_sweep(args, ANALYSIS_SWEEPS[args.sweep], header="setting")
+    settings, model = ANALYSIS_SWEEPS[args.sweep], _run_config(args).model
+    # each sweep varies only the fusion: without a gate, every setting builds one model
+    if not any(dataclasses.replace(model, **overrides).has_gate for _, overrides in settings):
+        raise ConfigError(f"--sweep {args.sweep} would train one model: no setting has a selective gate")
+    _run_sweep(args, settings, header="setting")
     print(f"{args.sweep} sweep results written to {args.out}")
     return 0
 

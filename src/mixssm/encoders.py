@@ -252,47 +252,38 @@ _QUERY_BLOCK = 64
 
 def _attention(q: np.ndarray, k: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """softmax(q k^T) vals over the last two axes, ``_QUERY_BLOCK`` query rows
-    at a time (scores in one reused buffer), into a fresh array; the
-    products with ``vals``, not the probabilities, are divided by row sums.
+    at a time (scores in one reused buffer), into a fresh array: one product
+    with ``vals`` plus a ones column gives weighted and row sums, divided.
 
-    Bound rule: every score lies in [-B, B], B = max|q_i| * max|k_j|
-    (Cauchy-Schwarz).  If B <= log(largest float) / 2, every exp(score) and
-    row sum is finite and nonzero, so exp is taken of the raw scores, one
-    product with ``vals`` plus a ones column gives weighted and row sums, and
-    the output is checked once.  Fallback (B over the bound or that output
-    not finite): a non-finite score raises :class:`NumericsError` (a -inf one
-    would become probability 0), and the row max is subtracted before exp.
+    Scores lie in [-B, B], B = max|q_i| * max|k_j| (Cauchy-Schwarz).  If B <=
+    log(largest float) / 2, every exp(score) and row sum is finite and nonzero,
+    so a first pass skips the max shift.  Over the bound, or if its output is
+    not finite, a second pass subtracts each row max first; there a non-finite
+    score raises :class:`NumericsError` (a -inf one would become probability 0).
     """
     t, d = q.shape[-2], vals.shape[-1]
     out = np.empty(q.shape[:-1] + (d,), dtype=q.dtype)
     keys = k.swapaxes(-1, -2)
+    extended = np.concatenate([vals, np.ones_like(vals[..., :1])], axis=-1)
     buffer = np.empty(q.shape[:-2] + (min(t, _QUERY_BLOCK), t), dtype=q.dtype)
+    sums = np.empty(buffer.shape[:-1] + (d + 1,), dtype=q.dtype)
     with np.errstate(over="ignore", invalid="ignore"):
-        # squared norms: an overflow or NaN fails the test and takes the fallback
+        # squared norms: an overflow or NaN fails the test and skips to the shifted pass
         bound = np.log(np.finfo(q.dtype).max) / 2
-        if (q * q).sum(-1).max(initial=0) * (k * k).sum(-1).max(initial=0) <= bound * bound:
-            extended = np.concatenate([vals, np.ones_like(vals[..., :1])], axis=-1)
-            sums = np.empty(buffer.shape[:-1] + (d + 1,), dtype=q.dtype)
+        fits = (q * q).sum(-1).max(initial=0) * (k * k).sum(-1).max(initial=0) <= bound * bound
+        for shift in (False, True) if fits else (True,):
             for s in range(0, t, _QUERY_BLOCK):
                 rows = q[..., s : s + _QUERY_BLOCK, :]
-                scores = buffer[..., : rows.shape[-2], :]
-                np.exp(np.matmul(rows, keys, out=scores), out=scores)
+                scores = np.matmul(rows, keys, out=buffer[..., : rows.shape[-2], :])
+                if shift:
+                    if not np.isfinite(scores).all():
+                        raise NumericsError("attention produced non-finite scores (overflow)")
+                    scores -= scores.max(axis=-1, keepdims=True)
+                np.exp(scores, out=scores)
                 part = np.matmul(scores, extended, out=sums[..., : rows.shape[-2], :])
                 np.divide(part[..., :d], part[..., d:], out=out[..., s : s + _QUERY_BLOCK, :])
-            if np.isfinite(out).all():
+            if shift or np.isfinite(out).all():
                 return out
-        for s in range(0, t, _QUERY_BLOCK):
-            rows = q[..., s : s + _QUERY_BLOCK, :]
-            scores = buffer[..., : rows.shape[-2], :]
-            np.matmul(rows, keys, out=scores)
-            if not np.isfinite(scores).all():
-                raise NumericsError("attention produced non-finite scores (overflow)")
-            scores -= scores.max(axis=-1, keepdims=True)
-            np.exp(scores, out=scores)
-            mixed = out[..., s : s + _QUERY_BLOCK, :]
-            np.matmul(scores, vals, out=mixed)
-            mixed /= scores.sum(axis=-1, keepdims=True)
-    return out
 
 
 class AttentionBranch(Module):

@@ -74,6 +74,11 @@ class ModelConfig:
         )
         self.validate()
 
+    @property
+    def has_gate(self) -> bool:
+        """Whether blocks build the selective gate, the one reader of reduction, kernel_size and pooling."""
+        return self.aggregation == "selective" and len(self.branches) > 1
+
     def validate(self) -> None:
         for name in ("input_size", "patch_size", "depths", "channels", "heads", "reduction", "state_dim"):
             value = getattr(self, name)
@@ -98,7 +103,7 @@ class ModelConfig:
         if not self.branches:
             raise ConfigError("at least one branch must be enabled")
         # each stage doubles both, so dividing the first stage's width suffices
-        for name in ("heads", "reduction"):
+        for name in ("heads", "reduction") if self.has_gate else ("heads",):
             if self.channels % getattr(self, name):
                 raise ConfigError(f"{name} {getattr(self, name)} must divide channels {self.channels}")
         if self.kernel_size not in KERNEL_SIZES:

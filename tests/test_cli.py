@@ -294,6 +294,29 @@ def test_analyze_unknown_sweep_exits_1(workdir, capsys):
     assert "sweep" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "sweep, overrides",
+    [("kernel", {"aggregation": "elementwise-max"}),
+     ("pooling", {"aggregation": "elementwise-average"}),
+     ("pooling", {"branches": ["msa"]}),
+     ("aggregation", {"branches": ["ssm"]})],
+    ids=["kernel_elementwise", "pooling_elementwise", "pooling_single_branch",
+         "aggregation_single_branch"],
+)
+def test_analyze_refuses_a_sweep_that_builds_one_model(sweep, overrides, workdir, tmp_path,
+                                                        monkeypatch, capsys):
+    # without a selective gate, every setting of these sweeps builds the same model
+    monkeypatch.setattr(cli, "train", _no_training)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({**MICRO_CONFIG, **overrides}))
+    out = tmp_path / "sweep.csv"
+    assert main(["analyze", "--config", str(config), "--data", workdir["data"],
+                 "--sweep", sweep, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_sweep_opens_out_before_training(workdir, monkeypatch, capsys):
     calls = []
 

@@ -329,12 +329,13 @@ def test_attention_falls_back_to_the_shifted_loop_when_the_raw_output_overflows(
     # summed over three tokens overflows; after the max shift the weights are 1/3
     q = np.tile(np.array([math.sqrt(20.0), 0.0], dtype=np.float32), (1, 3, 1))
     vals = np.array([[[1.0, 2.0], [3.0, -1.0], [0.5, 1.0]]], dtype=np.float32) * np.float32(1e30)
-    # the fallback loop's ops on its one block
+    # the shifted pass's ops on its one block: weighted and row sums from one
+    # product with vals plus a ones column, then the first divided by the second
     scores = q @ q.swapaxes(-1, -2)
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    want = scores @ vals
-    want /= scores.sum(axis=-1, keepdims=True)
+    part = scores @ np.concatenate([vals, np.ones_like(vals[..., :1])], axis=-1)
+    want = part[..., :2] / part[..., 2:]
     got = encoders._attention(q, q, vals)
     assert np.isfinite(want).all() and np.array_equal(got, want)
 

@@ -185,6 +185,21 @@ def test_models_without_a_selective_gate_own_no_gate_weights(base, overrides, wa
     assert not any(".fusion." in name for name, _ in model.named_parameters())
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{"branches": ("ssm",)}, {"aggregation": "elementwise-max"}],
+    ids=["ssm_only", "elementwise_max"],
+)
+def test_reduction_need_not_divide_channels_without_a_gate(overrides):
+    # desk channels 16: reduction 3 divides no stage's width, but only a gate reads it
+    config = dataclasses.replace(desk_config(), reduction=3, **overrides)
+    assert not config.has_gate
+    want = Model(dataclasses.replace(config, reduction=4)).named_parameters()
+    got = Model(config).named_parameters()
+    for (name, p), (want_name, q) in zip(got, want, strict=True):
+        assert name == want_name and np.array_equal(p.data, q.data), name
+
+
 def test_block_zero_branch_parameters_is_residual_identity():
     block = make_block(BRANCH_NAMES)
     for branch_name in BRANCH_NAMES:
@@ -516,6 +531,17 @@ def test_golden_micro_checkpoint_predicts_its_recorded_probabilities():
     with no_grad():
         got = model.forward_classify(Tensor(golden_images())).data
     assert np.abs(got - want).max() <= 1e-6
+
+
+def test_golden_micro_checkpoint_recorded_forward_predicts_its_recorded_probabilities():
+    """The same probabilities from a forward that records a tape: the taped
+    attention and SSM compositions, not the tape-free kernels, compute them."""
+    model = load_checkpoint(str(GOLDEN / "golden_micro.ckpt"))
+    want = np.array(json.loads((GOLDEN / "golden_micro_probs.json").read_text())["probabilities"])
+    assert all(p.requires_grad for p in model.parameters())
+    probs = model.forward_classify(Tensor(golden_images()))
+    assert probs.node is not None
+    assert np.abs(probs.data - want).max() <= 1e-6
 
 
 def test_golden_micro_checkpoint_is_refused_by_another_format_version(monkeypatch):
