@@ -11,11 +11,12 @@ Each branch maps a feature map (..., H, W, C) to a same-shape map:
   (:func:`selective_scan`), merged back onto the grid, plus a skip term and
   a pointwise output mix.
 
-A call that records no tape node (:func:`~mixssm.tensor.records`) runs
-the whole SSM branch as one raw-array function, :func:`_ssm`, and only
-attention's blocked softmax core as one, :func:`_attention` (its q/k/v and
-output projections stay unrecorded tensor ops); a recording call composes
-taped ops.
+The public SSM functions (:func:`cross_scan`, :func:`cross_merge`,
+:func:`linear_scan`, :func:`selective_scan`) compose taped ops, recorded or
+not.  Raw arrays run only inside the two branch calls that record no tape
+node (:func:`~mixssm.tensor.records`): the whole SSM branch as :func:`_ssm`,
+the one raw SSM kernel, and attention's blocked softmax core as
+:func:`_attention` (its q/k/v and output projections stay tensor ops).
 
 Leading axes beyond (H, W, C) are treated as batch dimensions everywhere.
 """
@@ -103,18 +104,16 @@ def linear_scan(decay: Tensor, x: Tensor) -> Tensor:
     Operands are (..., T, C, N) of one precision; time is the third axis from
     the end.  :func:`selective_scan` passes its four traversals time-major,
     as (..., T, 4*C, N), so one step of one map is one contiguous block.  The
-    result is a fresh array, except that a recording call with T <= 1
-    returns ``x`` itself (h = x there, and nothing writes into op outputs).
+    result is a fresh array, except that T <= 1 returns ``x`` itself (h = x
+    there, and nothing writes into op outputs).
 
-    A call that records no tape node (:func:`~mixssm.tensor.records`: under
-    ``no_grad``, or when no operand requires grad) runs the recurrence as it
-    reads, one step at a time on a copy of ``x`` (Mamba's recurrent mode,
-    Gu & Dao 2023, Sec. 3.3; :func:`_ssm` runs the same loop), and checks
-    the result's finiteness once.  A recording call runs an odd-even
-    (work-efficient) scan of vectorized, taped ops: adjacent steps are
-    combined in pairs, the half-length sequence is scanned recursively, and
-    the even steps are filled in from it.  Its work and tape stay O(T); the
-    reassociated products match the recurrence up to roundoff.
+    Every call, recorded or not, runs an odd-even (work-efficient) scan of
+    vectorized, taped ops: adjacent steps are combined in pairs, the
+    half-length sequence is scanned recursively, and the even steps are
+    filled in from it.  Its work and tape stay O(T); the reassociated
+    products match the sequential recurrence up to roundoff.  A tape-free
+    :class:`SsmBranch` call does not come here: :func:`_ssm` runs the
+    recurrence step by step (Mamba's recurrent mode, Gu & Dao 2023, Sec. 3.3).
     """
     if decay.shape != x.shape or x.ndim < 3:
         raise ShapeError(
@@ -122,24 +121,7 @@ def linear_scan(decay: Tensor, x: Tensor) -> Tensor:
         )
     if decay.dtype != x.dtype:
         raise TypeError(f"linear_scan: mixed precisions {decay.dtype} and {x.dtype}")
-    if records(decay, x):
-        return _odd_even_scan(decay, x, x.ndim - 3)
-    return Tensor(_recurrence(decay.data, x.data.copy()))
-
-
-def _recurrence(a: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """h_t = a_t * h_{t-1} + h_t along axis -3, step by step, in place: ``h``
-    holds the drive on entry and the states on return; overflow is left to
-    the caller's finiteness check."""
-    # time-major views: iterating one walks its steps
-    time_major = (h.ndim - 3, *range(h.ndim - 3), h.ndim - 2, h.ndim - 1)
-    a_t, h_t = a.transpose(time_major), h.transpose(time_major)
-    carried = np.empty(h_t.shape[1:], dtype=h.dtype)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for a_s, prev, step in zip(a_t[1:], h_t, h_t[1:]):
-            np.multiply(a_s, prev, out=carried)
-            np.add(carried, step, out=step)
-    return h
+    return _odd_even_scan(decay, x, x.ndim - 3)
 
 
 def _odd_even_scan(a: Tensor, b: Tensor, axis: int) -> Tensor:
@@ -369,13 +351,29 @@ def _traversals(grid: np.ndarray) -> np.ndarray:
     return seqs
 
 
+def _recurrence(a: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """h_t = a_t * h_{t-1} + h_t along axis -3, step by step, in place: ``h``
+    holds the drive on entry and the states on return; overflow is left to
+    the caller's finiteness check.  Called only by :func:`_ssm`."""
+    # time-major views: iterating one walks its steps
+    time_major = (h.ndim - 3, *range(h.ndim - 3), h.ndim - 2, h.ndim - 1)
+    a_t, h_t = a.transpose(time_major), h.transpose(time_major)
+    carried = np.empty(h_t.shape[1:], dtype=h.dtype)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a_s, prev, step in zip(a_t[1:], h_t, h_t[1:]):
+            np.multiply(a_s, prev, out=carried)
+            np.add(carried, step, out=step)
+    return h
+
+
 def _ssm(v: np.ndarray, branch: "SsmBranch") -> np.ndarray:
-    """:class:`SsmBranch` on raw arrays: the taped forward's ops in order, so
-    its bits, with the recurrence run in place on the drive.  A non-finite
-    value reaches the result (checked by the caller's ``Tensor``) unless exp
-    or softplus makes it finite, so the softplus input and the largest
-    |dt * rate| are checked here: :class:`NumericsError` is raised exactly
-    when the taped composition raises it.
+    """:class:`SsmBranch` on raw arrays: the taped forward's ops in order, with
+    the recurrence run step by step in place on the drive where that forward
+    runs :func:`linear_scan`'s odd-even scan.  A non-finite value reaches the
+    result (checked by the caller's ``Tensor``) unless exp or softplus makes
+    it finite, so the softplus input and the largest |dt * rate| are checked
+    here: :class:`NumericsError` is raised exactly when the taped composition
+    raises it.
     """
     *lead, h, w, c = v.shape
     t, n = h * w, branch.state_dim
@@ -412,7 +410,7 @@ class SsmBranch(Module):
     stored as ``a_log`` and used as A = -exp(a_log), so no finite parameter
     value gives a per-step decay above 1; ``a_log`` starts at log(1..N) per
     channel.  The dt bias is drawn so softplus lands in [1e-3, 1e-1].  A
-    call that records no tape node runs :func:`_ssm`, with the taped bits.
+    call that records no tape node runs :func:`_ssm`.
     """
 
     def __init__(

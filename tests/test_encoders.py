@@ -470,44 +470,44 @@ SCAN_LENGTHS = list(range(71)) + [196, 784, 3136]
 
 @pytest.mark.parametrize("t", SCAN_LENGTHS)
 def test_linear_scan_matches_doubling_reference_and_sequential_loop(t):
-    # operands that require grad run the taped odd-even scan; under no_grad
-    # the same operands run the tape-free recurrence
-    for taped in (True, False):
-        rng = np.random.default_rng(1000 + t)
-        with nullcontext() if taped else no_grad():
-            decay, drive = scan_operands(rng, t, np.float64)
-            got = linear_scan(*(Tensor(a, requires_grad=True) for a in (decay, drive)))
-            assert got.shape == drive.shape and got.dtype == np.float64
-            assert got.requires_grad is taped
-            if t:
-                assert np.abs(got.data - sequential_scan(decay, drive)).max() < 1e-12
-
-            decay32, drive32 = scan_operands(rng, t, np.float32)
-            got32 = linear_scan(*(Tensor(a, requires_grad=True) for a in (decay32, drive32)))
-            assert got32.shape == drive32.shape and got32.dtype == np.float32
-            if t:
-                oracle = sequential_scan(decay32.astype(np.float64), drive32.astype(np.float64))
-                assert np.abs(got32.data - oracle).max() < 1e-5
+    # operands that require grad record the odd-even scan's tape; under no_grad
+    # the same ops run unrecorded, to the same bits
+    rng = np.random.default_rng(1000 + t)
+    for dtype, tolerance in ((np.float64, 1e-12), (np.float32, 1e-5)):
+        decay, drive = scan_operands(rng, t, dtype)
+        operands = [Tensor(a, requires_grad=True) for a in (decay, drive)]
+        got = linear_scan(*operands)
+        assert got.shape == drive.shape and got.dtype == dtype and got.requires_grad
+        if t:
+            oracle = sequential_scan(decay.astype(np.float64), drive.astype(np.float64))
+            assert np.abs(got.data - oracle).max() < tolerance
+        with no_grad():
+            assert np.array_equal(linear_scan(*operands).data, got.data)
 
 
 def test_linear_scan_without_tape_edge_cases():
+    # recorded or not, T <= 1 returns the drive itself (h = x there) and a
+    # longer scan a fresh array
     rng = np.random.default_rng(1100)
     for t in (0, 1, 5):
-        decay, drive = (t64(a) for a in scan_operands(rng, t, np.float64))
-        got = linear_scan(decay, drive)
-        assert got.shape == (2, 4, t, 3, 2) and not got.requires_grad
-        assert not np.shares_memory(got.data, drive.data)
-        if t == 1:
-            assert np.array_equal(got.data, drive.data)
+        for taped in (True, False):
+            decay, drive = (Tensor(a, requires_grad=taped) for a in scan_operands(rng, t, np.float64))
+            got = linear_scan(decay, drive)
+            assert got.shape == (2, 4, t, 3, 2)
+            if t <= 1:
+                assert got is drive
+            else:
+                assert got.requires_grad is taped
+                assert not np.shares_memory(got.data, drive.data)
 
 
 @pytest.mark.parametrize("taped", [True, False])
 def test_linear_scan_overflow_raises_numerics_error(taped):
     decay = Tensor(np.ones((2, 1, 1), dtype=np.float32), requires_grad=True)
     drive = Tensor(np.full((2, 1, 1), 3e38, dtype=np.float32), requires_grad=True)
-    # the taped scan's add lets numpy warn before its check raises, as a direct
-    # add does (tensor module docstring); the tape-free recurrence warns nothing
-    warns = pytest.warns(RuntimeWarning, match="overflow encountered in add") if taped else nullcontext()
+    # recorded or not, the scan's add lets numpy warn before its check raises,
+    # as a direct add does (tensor module docstring)
+    warns = pytest.warns(RuntimeWarning, match="overflow encountered in add")
     with nullcontext() if taped else no_grad(), warns, pytest.raises(NumericsError):
         linear_scan(decay, drive)
 
@@ -705,7 +705,7 @@ def test_ssm_decays_stay_in_unit_interval_for_extreme_rates(a_log, monkeypatch):
     # T = 3136 is the paper's first-stage scan length, where a decay above 1
     # would grow the state as decay^T; A = -exp(a_log) keeps every decay in
     # [0, 1] (float32 rounds these to exactly 1.0 and 0.0).  The tape-free
-    # branch hands its decay to the recurrence it shares with linear_scan.
+    # branch hands its decay to its raw recurrence, _recurrence.
     decays = []
     recurrence = encoders._recurrence
 
@@ -739,20 +739,27 @@ def test_tape_free_ssm_branch_matches_independent_oracle(shape):
 
 
 @pytest.mark.parametrize("shape", [(56, 56, 32), (7, 7, 256)])
-def test_tape_free_ssm_branch_is_bitwise_the_composed_ops(shape):
+def test_tape_free_ssm_branch_is_bitwise_the_composed_ops(shape, monkeypatch):
     # the raw-array path against cross_merge(selective_scan(v)), the skip and
-    # the projection composed from tensor ops, at the first and last default stage
+    # the projection composed from tensor ops, at the first and last default
+    # stage; the composition scans step by step, as _ssm does, where
+    # linear_scan's odd-even scan reassociates the products
     rng = np.random.default_rng(24)
     branch = SsmBranch(shape[-1], state_dim=8, rng=rng)
     v = Tensor(rng.standard_normal(shape).astype(np.float32))
     with no_grad():
+        got = branch(v).data
+        monkeypatch.setattr(
+            encoders, "linear_scan", lambda a, x: Tensor(encoders._recurrence(a.data, x.data.copy()))
+        )
         read = cross_merge(selective_scan(v, branch), *shape[:2])
         merged = add(read, mul(v, mul(branch.skip_gain, branch.four)))
         want = add(matmul(merged, branch.out_weight), branch.out_bias).data
-        assert np.array_equal(branch(v).data, want)
+    assert np.array_equal(got, want)
 
 
-def test_tape_free_ssm_branch_makes_no_cross_scan_concat_or_scan_call(monkeypatch):
+def count_calls(monkeypatch, names):
+    """Patch each named ``encoders`` function to log its name to the returned list."""
     calls = []
 
     def counting(name, op):
@@ -761,8 +768,13 @@ def test_tape_free_ssm_branch_makes_no_cross_scan_concat_or_scan_call(monkeypatc
             return op(*args, **kwargs)
         return counted
 
-    for name in ("cross_scan", "concat", "linear_scan"):
+    for name in names:
         monkeypatch.setattr(encoders, name, counting(name, getattr(encoders, name)))
+    return calls
+
+
+def test_tape_free_ssm_branch_makes_no_cross_scan_concat_or_scan_call(monkeypatch):
+    calls = count_calls(monkeypatch, ("cross_scan", "concat", "linear_scan"))
     rng = np.random.default_rng(25)
     branch = SsmBranch(4, state_dim=3, rng=rng)
     v = Tensor(rng.standard_normal((2, 5, 3, 4)).astype(np.float32))
@@ -771,6 +783,23 @@ def test_tape_free_ssm_branch_makes_no_cross_scan_concat_or_scan_call(monkeypatc
     assert calls == []
     branch(v)  # the parameters require grad: the taped composition runs
     assert set(calls) == {"cross_scan", "concat", "linear_scan"}
+
+
+def test_only_the_tape_free_ssm_branch_runs_the_raw_kernel(monkeypatch):
+    # unrecorded, the public SSM functions still compose tensor ops; the raw
+    # helpers run only inside _ssm, one recurrence per branch call
+    calls = count_calls(monkeypatch, ("_recurrence", "_traversals"))
+    rng = np.random.default_rng(27)
+    branch = SsmBranch(4, state_dim=3, rng=rng)
+    v = Tensor(rng.standard_normal((2, 5, 3, 4)).astype(np.float32))
+    decay = Tensor(rng.uniform(0.1, 0.9, (2, 15, 16, 3)).astype(np.float32))
+    with no_grad():
+        cross_merge(cross_scan(v), 5, 3)
+        linear_scan(decay, decay)
+        selective_scan(v, branch)
+        assert calls == []
+        branch(v)
+    assert calls.count("_recurrence") == 1
 
 
 def overflowing_softplus_input(branch):
