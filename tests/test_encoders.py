@@ -469,7 +469,9 @@ SCAN_LENGTHS = list(range(71)) + [196, 784, 3136]
 
 
 @pytest.mark.parametrize("t", SCAN_LENGTHS)
-def test_linear_scan_matches_sequential_loop(t):
+def test_linear_scan_matches_doubling_reference_and_sequential_loop(t):
+    # the doubling reference is gone; the name stays because renaming changes
+    # all 74 parametrized ids
     # operands that require grad record the odd-even scan's tape; under no_grad
     # the same ops run unrecorded, to the same bits
     rng = np.random.default_rng(1000 + t)
